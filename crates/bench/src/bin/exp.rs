@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use churn_bench::{scenarios, Preset};
+use churn_bench::scenarios;
 use churn_sim::scenario::{scenario_series_path, GridPreset, RunOptions};
 
 fn usage() -> ExitCode {
@@ -186,10 +186,6 @@ fn main() -> ExitCode {
             if names.is_empty() {
                 return usage();
             }
-            let preset = match opts.preset {
-                GridPreset::Smoke => Preset::Quick,
-                GridPreset::Full => Preset::Full,
-            };
             let mut failed = false;
             for name in &names {
                 match scenarios::report_from_disk(&registry, name, &opts) {
@@ -204,7 +200,7 @@ fn main() -> ExitCode {
                         churn_bench::print_report(
                             &title,
                             &artifact,
-                            preset,
+                            opts.preset,
                             &report.tables,
                             std::slice::from_ref(&report.comparisons),
                         );

@@ -3,13 +3,11 @@
 //! Experiment binaries and Criterion benches for the churn-network
 //! reproduction.
 //!
-//! * Every experiment of `DESIGN.md` §5 (E1–E10) has a binary in `src/bin/`
-//!   that regenerates the corresponding table or figure series:
-//!   `cargo run --release -p churn-bench --bin exp_isolated_nodes`, etc.
-//!   Each binary accepts an optional `quick` argument (or the `CHURN_QUICK=1`
-//!   environment variable) that shrinks the grid for a fast smoke run; the
-//!   default is the full laptop-scale configuration recorded in
-//!   `EXPERIMENTS.md`.
+//! * Every experiment of `DESIGN.md` §5 is a registered scenario
+//!   ([`scenarios::registry`]) run through the single `exp` binary:
+//!   `cargo run --release -p churn-bench --bin exp -- run isolated-nodes`,
+//!   etc. `--smoke` shrinks the grid for a fast smoke run; the default is the
+//!   full laptop-scale configuration recorded in `EXPERIMENTS.md`.
 //! * The Criterion benches in `benches/` measure the library's own throughput
 //!   (model stepping, snapshotting, flooding, expansion estimation, jump-chain
 //!   sampling) plus the design ablations called out in `DESIGN.md` §6.
@@ -19,8 +17,8 @@
 //!   comparison file (this is how `BENCH_PR1.json` is produced). Set
 //!   `CHURN_BENCH_FAST=1` for a one-sample smoke run (used by CI).
 //!
-//! This crate's library part only holds the small amount of shared plumbing the
-//! binaries use (preset selection and report printing).
+//! This crate's library part holds the scenario registry and the report
+//! printing the `exp` binary uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,59 +26,8 @@
 pub mod scenarios;
 
 use churn_analysis::ComparisonSet;
+use churn_sim::scenario::GridPreset;
 use churn_sim::Table;
-
-/// Which grid a binary should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preset {
-    /// The full configuration recorded in `EXPERIMENTS.md` (minutes per binary).
-    Full,
-    /// A reduced grid for smoke runs (seconds to a minute per binary).
-    Quick,
-}
-
-impl Preset {
-    /// Returns `true` for [`Preset::Quick`].
-    #[must_use]
-    pub fn is_quick(self) -> bool {
-        matches!(self, Preset::Quick)
-    }
-
-    /// Picks between the quick and full value.
-    #[must_use]
-    pub fn pick<T>(self, quick: T, full: T) -> T {
-        match self {
-            Preset::Quick => quick,
-            Preset::Full => full,
-        }
-    }
-
-    /// Display label used in report headers.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Preset::Full => "full",
-            Preset::Quick => "quick",
-        }
-    }
-}
-
-/// Determines the preset from the command line (`quick` / `full` argument) and
-/// the `CHURN_QUICK` environment variable. The default is [`Preset::Full`].
-#[must_use]
-pub fn preset_from_env_and_args() -> Preset {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a.eq_ignore_ascii_case("quick")) {
-        return Preset::Quick;
-    }
-    if args.iter().any(|a| a.eq_ignore_ascii_case("full")) {
-        return Preset::Full;
-    }
-    match std::env::var("CHURN_QUICK") {
-        Ok(value) if value == "1" || value.eq_ignore_ascii_case("true") => Preset::Quick,
-        _ => Preset::Full,
-    }
-}
 
 /// Prints an experiment report: a header, the result tables (as Markdown, so
 /// the output can be pasted into `EXPERIMENTS.md` verbatim) and the
@@ -88,7 +35,7 @@ pub fn preset_from_env_and_args() -> Preset {
 pub fn print_report(
     experiment: &str,
     paper_artifact: &str,
-    preset: Preset,
+    preset: GridPreset,
     tables: &[Table],
     comparisons: &[ComparisonSet],
 ) {
@@ -116,16 +63,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preset_pick_selects_the_matching_value() {
-        assert_eq!(Preset::Quick.pick(1, 2), 1);
-        assert_eq!(Preset::Full.pick(1, 2), 2);
-        assert!(Preset::Quick.is_quick());
-        assert!(!Preset::Full.is_quick());
-        assert_eq!(Preset::Quick.label(), "quick");
-        assert_eq!(Preset::Full.label(), "full");
-    }
-
-    #[test]
     fn print_report_does_not_panic() {
         let mut table = Table::new("t", ["a"]);
         table.push_row(["1"]);
@@ -133,6 +70,6 @@ mod tests {
         set.push(churn_analysis::Comparison::new(
             "x", "Lemma", "1", "1", true,
         ));
-        print_report("E0", "demo", Preset::Quick, &[table], &[set]);
+        print_report("E0", "demo", GridPreset::Smoke, &[table], &[set]);
     }
 }

@@ -1,13 +1,8 @@
 //! The scenario registry: every experiment of this workspace as a
 //! declarative `churn_sim::scenario::Scenario`.
 //!
-//! This replaces the bespoke sweep loops of the 13 legacy `exp_*` / `fig_*`
-//! binaries: each experiment is now a ~15-line spec registered here and
-//! executed through the single `exp` runner (`exp run <name>|--all
-//! [--smoke] [--resume]`). The legacy binary names survive as thin shims
-//! ([`shim_main`]) that run their scenario(s) through the same engine, so
-//! existing invocations (`cargo run --bin exp_raes_flooding -- quick`) keep
-//! working.
+//! Each experiment is a ~15-line spec registered here and executed through
+//! the single `exp` runner (`exp run <name>|--all [--smoke] [--resume]`).
 //!
 //! Grids: the **full** preset carries the configurations recorded in
 //! `EXPERIMENTS.md` (including the `n = 10⁶` rows, registered as separate
@@ -21,8 +16,8 @@ use churn_protocol::{AdversaryModel, AttackKind, ChurnDriver, SaturationPolicy};
 use churn_sim::scenario::{
     load_cell_records, load_load_records, load_series_records, run_scenario, scenario_load_path,
     scenario_output_path, scenario_series_path, AsyncFloodingSpec, AsyncRaesSpec, ExpansionSpec,
-    FaultSpec, FloodingSpec, Grid, GridPreset, Measurement, NetSpec, RaesNet, RetryPolicy,
-    RoundBudget, RunOptions, Scenario, ScenarioOutcome, ScenarioRegistry,
+    FaultSpec, FloodingSpec, Grid, Measurement, NetSpec, RaesNet, RetryPolicy, RoundBudget,
+    RunOptions, Scenario, ScenarioOutcome, ScenarioRegistry,
 };
 
 /// Builds the full registry. Scenario names are stable — they are the
@@ -953,34 +948,10 @@ pub fn report_from_disk(
     ))
 }
 
-/// Entry point of the legacy experiment shims: maps the historical `quick`
-/// CLI argument / `CHURN_QUICK` environment variable to the smoke preset and
-/// runs the listed scenarios through the engine.
-pub fn shim_main(scenario_names: &[&str]) {
-    let preset = match crate::preset_from_env_and_args() {
-        crate::Preset::Quick => GridPreset::Smoke,
-        crate::Preset::Full => GridPreset::Full,
-    };
-    let resume = std::env::args().skip(1).any(|a| a == "--resume");
-    let registry = registry();
-    let mut failed_cells = 0usize;
-    for name in scenario_names {
-        let opts = RunOptions {
-            preset,
-            resume,
-            ..RunOptions::default()
-        };
-        failed_cells += run_and_report(&registry, name, &opts).failures.len();
-    }
-    if failed_cells > 0 {
-        eprintln!("{failed_cells} cell(s) failed; rerun with --resume to retry them");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use churn_sim::scenario::GridPreset;
 
     #[test]
     fn registry_round_trips_names_and_validates_every_scenario() {

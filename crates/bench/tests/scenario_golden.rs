@@ -2,10 +2,11 @@
 //! binaries' measurements exactly.
 //!
 //! Each test replays a legacy binary's measurement loop — the literal
-//! pre-refactor control flow: `Sweep::trial_seed` seeding,
-//! `build_with_victim`, the same warm-up / census / flooding calls — at the
-//! scenario's small-`n` smoke grid, and compares against the records the
-//! scenario engine wrote:
+//! pre-refactor control flow: the cell's seed (`Scenario::cell_seed`, whose
+//! derivation a literal seed table in `churn-sim` pins to the legacy
+//! binaries' seeds), `build_with_victim`, the same warm-up / census /
+//! flooding calls — at the scenario's small-`n` smoke grid, and compares
+//! against the records the scenario engine wrote:
 //!
 //! * `adversarial-churn` (E12) and `isolated-nodes` (E1): the engine's
 //!   output file is **byte-identical** to records serialised from the legacy
@@ -25,13 +26,13 @@ use std::path::PathBuf;
 
 use churn_bench::scenarios::registry;
 use churn_core::flooding::{run_flooding, run_flooding_parallel, FloodingConfig, FloodingSource};
-use churn_core::{DynamicNetwork, ModelKind};
+use churn_core::DynamicNetwork;
 use churn_observe::{LifetimeIsolation, LiveMetrics};
 use churn_protocol::{RaesConfig, RaesModel};
+use churn_sim::observe_rounds;
 use churn_sim::scenario::{
     run_scenario, scenario_load_path, CellRecord, GridPreset, NetSpec, RunOptions, Scenario,
 };
-use churn_sim::{observe_rounds, ParamPoint, Sweep};
 
 fn run_smoke(scenario: &Scenario, tag: &str) -> (Vec<CellRecord>, PathBuf) {
     let dir = std::env::temp_dir().join(format!("churn-golden-{tag}-{}", std::process::id()));
@@ -46,26 +47,6 @@ fn run_smoke(scenario: &Scenario, tag: &str) -> (Vec<CellRecord>, PathBuf) {
     (outcome.records, outcome.path)
 }
 
-/// The legacy sweep seed of a baseline cell (the pre-refactor binaries all
-/// seeded through `Sweep::trial_seed`).
-fn legacy_seed(
-    kind: ModelKind,
-    n: usize,
-    d: usize,
-    victim: churn_core::VictimPolicy,
-    trial: usize,
-    base_seed: u64,
-) -> u64 {
-    let sweep = Sweep::new("legacy")
-        .models([kind])
-        .sizes([n])
-        .degrees([d])
-        .trials(trial + 1)
-        .base_seed(base_seed)
-        .victim_policy(victim);
-    sweep.trial_seed(&ParamPoint { model: kind, n, d }, trial)
-}
-
 #[test]
 fn adversarial_churn_records_are_byte_identical_to_the_legacy_loop() {
     let registry = registry();
@@ -77,8 +58,7 @@ fn adversarial_churn_records_are_byte_identical_to_the_legacy_loop() {
         let NetSpec::Baseline(kind) = cell.net else {
             panic!("E12 runs on baselines");
         };
-        let seed = legacy_seed(kind, cell.n, cell.d, cell.victim, cell.trial, 0xE12);
-        assert_eq!(seed, scenario.cell_seed(&cell), "seed derivation unchanged");
+        let seed = scenario.cell_seed(&cell);
         // The pre-refactor exp_adversarial_churn measurement body.
         let mut model = kind
             .build_with_victim(cell.n, cell.d, seed, cell.victim)
@@ -134,7 +114,7 @@ fn isolated_nodes_records_are_byte_identical_to_the_legacy_loop() {
         let NetSpec::Baseline(kind) = cell.net else {
             panic!("E1 runs on baselines");
         };
-        let seed = legacy_seed(kind, cell.n, cell.d, cell.victim, cell.trial, 0xE1);
+        let seed = scenario.cell_seed(&cell);
         // The pre-refactor exp_isolated_nodes isolation_trial body.
         let mut model = kind
             .build_with_victim(cell.n, cell.d, seed, cell.victim)
@@ -197,15 +177,8 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
         // build path; all flooded through the sharded parallel engine.
         let (flood, isolated_fraction, protocol) = match cell.net {
             NetSpec::Raes(_) => {
-                let seed = legacy_seed(
-                    ModelKind::Raes,
-                    cell.n,
-                    cell.d,
-                    cell.victim,
-                    cell.trial,
-                    0xE11,
-                );
-                assert_eq!(seed, record.seed, "RAES cells keep the sweep seed tag");
+                let seed = scenario.cell_seed(cell);
+                assert_eq!(seed, record.seed);
                 let mut model = RaesModel::new(RaesConfig::new(cell.n, cell.d).seed(seed)).unwrap();
                 model.warm_up();
                 let isolated = churn_core::isolated::isolated_now(&model).len() as f64
@@ -230,7 +203,7 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
                 (flood, isolated, protocol)
             }
             NetSpec::Baseline(kind) => {
-                let seed = legacy_seed(kind, cell.n, cell.d, cell.victim, cell.trial, 0xE11);
+                let seed = scenario.cell_seed(cell);
                 assert_eq!(seed, record.seed);
                 let mut model = kind
                     .build_with_victim(cell.n, cell.d, seed, cell.victim)
@@ -288,7 +261,7 @@ fn flooding_scaling_metrics_match_the_legacy_loop_bit_for_bit() {
         let NetSpec::Baseline(kind) = cell.net else {
             panic!("E6 runs on baselines");
         };
-        let seed = legacy_seed(kind, cell.n, cell.d, cell.victim, cell.trial, 0xE6);
+        let seed = scenario.cell_seed(cell);
         assert_eq!(seed, record.seed);
         // The pre-refactor fig_flooding_scaling trial body.
         let mut model = kind

@@ -23,9 +23,9 @@
 //!   latency* instead of being papered over.
 //!
 //! [`RaesModel`] implements `churn-core`'s `DynamicNetwork` trait, so
-//! flooding, expansion and isolation analyses, `run_sweep` grids and the
-//! experiment binaries in `churn-bench` treat it exactly like the four
-//! baseline models (`exp_raes_flooding` runs the side-by-side comparison).
+//! flooding, expansion and isolation analyses and the scenario engine treat
+//! it exactly like the four baseline models (`exp run raes-flooding` in
+//! `churn-bench` runs the side-by-side comparison).
 //! Internally it drives the slab graph through the dense `*_at` API and keeps
 //! its pending queue as generation-tagged `DenseHandle`s, so steady-state
 //! rounds perform no hashing on the repair path and, under the streaming

@@ -196,8 +196,8 @@ impl RaesStats {
 /// bounded-degree expander (Cruciani 2025; Becchetti et al., RAES).
 ///
 /// The model implements [`DynamicNetwork`], so flooding, expansion and
-/// isolation analyses, `run_sweep`, and the experiment binaries drive it
-/// exactly like the four baseline models. The hot path works entirely on the
+/// isolation analyses and the scenario engine drive it exactly like the
+/// four baseline models. The hot path works entirely on the
 /// dense `*_at` slab API: steady-state rounds perform no hashing (beyond the
 /// one identifier-map update per churn event that the baselines also pay),
 /// and with the streaming driver no heap allocation at all (see

@@ -1,41 +1,43 @@
 //! # churn-sim
 //!
-//! Experiment harness for the churn-network reproduction: parameter sweeps over
-//! `(model, n, d)` grids, seeded multi-trial execution parallelised across CPU
-//! cores, metric aggregation with confidence intervals, and table rendering
-//! (plain text, Markdown, CSV) plus JSON persistence of raw results.
+//! Experiment harness for the churn-network reproduction: the scenario
+//! engine ([`scenario`]) that runs every `(network, n, d, victim, trial)`
+//! grid of the workspace — seeded cells parallelised across CPU cores,
+//! checkpointed JSON-lines records, resume — plus metric aggregation with
+//! confidence intervals and table rendering (plain text, Markdown, CSV).
 //!
-//! Every experiment binary in `churn-bench` and every row of `EXPERIMENTS.md`
-//! is produced through this crate, so the paper's tables and figures are all
-//! regenerated by the same, uniformly seeded machinery.
+//! Every registered experiment in `churn-bench` and every row of
+//! `EXPERIMENTS.md` is produced through this crate, so the paper's tables
+//! and figures are all regenerated by the same, uniformly seeded machinery.
 //!
 //! ## Example
 //!
 //! ```
 //! use churn_core::ModelKind;
-//! use churn_sim::{Sweep, run_sweep, Aggregate};
-//! use churn_core::DynamicNetwork;
+//! use churn_sim::scenario::{
+//!     run_scenario, Grid, Measurement, NetSpec, RunOptions, Scenario,
+//! };
+//! use churn_sim::Aggregate;
 //!
-//! // Average network size of warm PDG snapshots over a small sweep.
-//! let sweep = Sweep::new("poisson-size")
-//!     .models([ModelKind::Pdg])
-//!     .sizes([100, 200])
-//!     .degrees([3])
-//!     .trials(2)
+//! // Isolated fraction of warm PDG snapshots over a small grid.
+//! let scenario = Scenario::new("pdg-isolation", "PDG isolation", Measurement::Isolation)
+//!     .nets([NetSpec::Baseline(ModelKind::Pdg)])
+//!     .full_grid(Grid::new([100, 200], [3], 2))
 //!     .base_seed(7);
-//! let results = run_sweep(&sweep, |ctx| {
-//!     let mut model = ctx.point.build(ctx.seed).unwrap();
-//!     model.warm_up();
-//!     model.alive_count() as f64
-//! });
-//! assert_eq!(results.len(), 4); // 2 sizes × 2 trials
-//! let hundred: Vec<f64> = results
+//! let dir = std::env::temp_dir().join(format!("churn-sim-doc-{}", std::process::id()));
+//! let opts = RunOptions { dir: dir.clone(), ..RunOptions::default() };
+//! let outcome = run_scenario(&scenario, &opts).unwrap();
+//! assert_eq!(outcome.records.len(), 4); // 2 sizes × 2 trials
+//! let hundred: Vec<f64> = outcome
+//!     .records
 //!     .iter()
-//!     .filter(|r| r.point.n == 100)
-//!     .map(|r| r.value)
+//!     .filter(|r| r.n == 100)
+//!     .map(|r| r.metric("isolated_fraction").unwrap())
 //!     .collect();
 //! let agg = Aggregate::from_values(&hundred);
-//! assert!(agg.mean > 50.0 && agg.mean < 150.0);
+//! assert_eq!(agg.count, 2);
+//! assert!((0.0..0.5).contains(&agg.mean));
+//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,17 +46,11 @@
 
 mod metrics;
 mod observer;
-mod params;
-mod runner;
-mod store;
 mod table;
 
 pub mod minijson;
 pub mod scenario;
 
-pub use metrics::{aggregate_by_point, Aggregate, PointKey};
+pub use metrics::Aggregate;
 pub use observer::observe_rounds;
-pub use params::{ParamPoint, Sweep};
-pub use runner::{run_sweep, run_sweep_sequential, TrialContext, TrialResult};
-pub use store::{load_records, save_records, StoredRecord};
 pub use table::{format_float, format_int, Table};

@@ -1,12 +1,8 @@
 //! Aggregation of trial results into summary statistics.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use churn_stochastic::OnlineStats;
-
-use crate::{ParamPoint, TrialResult};
 
 /// Summary statistics of a set of trial values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,61 +64,9 @@ impl Aggregate {
     }
 }
 
-/// Groups trial results by their grid point and aggregates a per-trial metric.
-///
-/// The `metric` closure extracts the value to aggregate from each trial result.
-/// Returns a map ordered by `(model, n, d)` in the sweep's natural ordering.
-pub fn aggregate_by_point<T, F>(
-    results: &[TrialResult<T>],
-    metric: F,
-) -> BTreeMap<PointKey, Aggregate>
-where
-    F: Fn(&TrialResult<T>) -> f64,
-{
-    let mut grouped: BTreeMap<PointKey, Vec<f64>> = BTreeMap::new();
-    for result in results {
-        grouped
-            .entry(PointKey::from(result.point))
-            .or_default()
-            .push(metric(result));
-    }
-    grouped
-        .into_iter()
-        .map(|(key, values)| (key, Aggregate::from_values(&values)))
-        .collect()
-}
-
-/// Orderable key for a [`ParamPoint`] (model label, then `n`, then `d`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PointKey {
-    /// Model acronym.
-    pub model: String,
-    /// Expected network size.
-    pub n: usize,
-    /// Degree parameter.
-    pub d: usize,
-}
-
-impl From<ParamPoint> for PointKey {
-    fn from(point: ParamPoint) -> Self {
-        PointKey {
-            model: point.model.label().to_string(),
-            n: point.n,
-            d: point.d,
-        }
-    }
-}
-
-impl std::fmt::Display for PointKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} n={} d={}", self.model, self.n, self.d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use churn_core::ModelKind;
 
     #[test]
     fn aggregate_of_known_values() {
@@ -143,48 +87,5 @@ mod tests {
         assert_eq!(agg.count, 0);
         assert_eq!(agg.mean, 0.0);
         assert_eq!(agg.display_with_ci(1), "0.0 ± 0.0");
-    }
-
-    #[test]
-    fn grouping_by_point_aggregates_separately() {
-        let p1 = ParamPoint {
-            model: ModelKind::Sdg,
-            n: 10,
-            d: 2,
-        };
-        let p2 = ParamPoint {
-            model: ModelKind::Sdg,
-            n: 20,
-            d: 2,
-        };
-        let results = vec![
-            TrialResult {
-                point: p1,
-                trial: 0,
-                seed: 0,
-                value: 1.0,
-            },
-            TrialResult {
-                point: p1,
-                trial: 1,
-                seed: 1,
-                value: 3.0,
-            },
-            TrialResult {
-                point: p2,
-                trial: 0,
-                seed: 2,
-                value: 10.0,
-            },
-        ];
-        let grouped = aggregate_by_point(&results, |r| r.value);
-        assert_eq!(grouped.len(), 2);
-        let k1 = PointKey::from(p1);
-        let k2 = PointKey::from(p2);
-        assert!((grouped[&k1].mean - 2.0).abs() < 1e-12);
-        assert_eq!(grouped[&k1].count, 2);
-        assert!((grouped[&k2].mean - 10.0).abs() < 1e-12);
-        assert!(k1 < k2, "ordering is by n for the same model and d");
-        assert_eq!(k1.to_string(), "SDG n=10 d=2");
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON reader.
 //!
-//! Sufficient for the files this workspace writes (experiment records from
-//! [`crate::save_records`], bench JSON-lines from the vendored criterion
+//! Sufficient for the files this workspace writes (scenario records from
+//! [`crate::scenario`], bench JSON-lines from the vendored criterion
 //! harness) and for standards-compliant external producers of the same
 //! shapes: full escape handling including UTF-16 surrogate pairs, and
 //! numbers kept as raw text so 64-bit integers round-trip exactly.
@@ -299,5 +299,30 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn surrogate_pair_escapes_decode() {
+        // Producers that escape non-ASCII (e.g. Python's json.dumps) write
+        // astral-plane characters as UTF-16 surrogate pairs.
+        let value = parse(r#"{"s": "\ud83d\ude00 demo"}"#).unwrap();
+        assert_eq!(value.get("s").unwrap().as_str(), Some("\u{1F600} demo"));
+        // An unpaired surrogate is an error, not silent replacement.
+        assert!(parse(r#"{"s": "\ud83d oops"}"#).is_err());
+    }
+
+    #[test]
+    fn full_range_u64_numbers_parse_exactly() {
+        // derive_seed outputs are uniform over all 64 bits; an f64 detour
+        // would corrupt anything above 2^53.
+        let value = parse("[18446744073709551615, 12297829382473034410]").unwrap();
+        let items = value.as_array().unwrap();
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1].as_u64(), Some(12_297_829_382_473_034_410));
     }
 }

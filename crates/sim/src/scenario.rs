@@ -4,21 +4,22 @@
 //! A [`Scenario`] declares an experiment as data — the grid axes (network
 //! spec × size × degree × victim policy × trial), one [`Measurement`], and a
 //! full plus a smoke preset — instead of a bespoke binary with hand-rolled
-//! sweep loops. [`run_scenario`] executes the grid's cells through the same
-//! thread budgeting as [`crate::run_sweep`] (batch-level parallelism shares
-//! the pool with the sharded in-cell engines), streams one JSON record per
-//! completed cell to `results/<name>.jsonl`, and **checkpoints**: a cell
+//! sweep loops. [`run_scenario`] executes the grid's cells in parallel
+//! batches (batch-level parallelism shares the pool with the sharded in-cell
+//! engines), streams one JSON record per completed cell to
+//! `results/<name>.jsonl`, and **checkpoints**: a cell
 //! whose deterministic seed already appears in the output file is skipped on
 //! the next run, so an interrupted grid resumes where it stopped and the
 //! resumed file is bit-identical to an uninterrupted run.
 //!
-//! Cell identity is the deterministic per-cell seed: it is derived from the
-//! cell's *values* (network spec, `n`, `d`, victim policy, trial index,
-//! scenario base seed) exactly like [`crate::Sweep::trial_seed`] — for the
-//! baseline model kinds and the default RAES configuration the two schemes
-//! coincide, so scenarios ported from `run_sweep`-based binaries reproduce
-//! their recorded trajectories bit for bit (the golden-equivalence suite in
-//! `churn-bench` pins this).
+//! Cell identity is the deterministic per-cell seed ([`Scenario::cell_seed`]):
+//! it is derived from the cell's *values* (network spec, `n`, `d`, victim
+//! policy, trial index, scenario base seed), so adding a grid row never
+//! re-seeds existing cells. The baseline model kinds and the default RAES
+//! configuration keep the seeds of the pre-engine experiment binaries, so
+//! recorded trajectories reproduce bit for bit (a literal seed table in this
+//! module's tests and the golden-equivalence suite in `churn-bench` pin
+//! this).
 //!
 //! [`ScenarioRegistry`] collects every registered scenario; the `exp` binary
 //! in `churn-bench` is the single CLI over the registry
@@ -41,7 +42,6 @@ use churn_stochastic::rng::derive_seed;
 use churn_telemetry::PhaseProfiler;
 
 use crate::minijson;
-use crate::store::{escape_json, format_value};
 
 mod measure;
 
@@ -150,10 +150,9 @@ impl NetSpec {
     }
 
     /// The seed tag of this network spec. Baseline kinds and the default
-    /// RAES spec use exactly the tags of [`crate::Sweep::trial_seed`]
-    /// (1–5), so ported scenarios keep their recorded seeds; every
-    /// non-default RAES knob mixes a further tag, and the two new net kinds
-    /// get fresh tags.
+    /// RAES spec use the tags 1–5 of the pre-engine experiment binaries, so
+    /// their recorded seeds survive; every non-default RAES knob mixes a
+    /// further tag, and the two later net kinds get fresh tags.
     fn seed_tag(&self) -> u64 {
         match self {
             NetSpec::Baseline(kind) => match kind {
@@ -848,9 +847,9 @@ impl Scenario {
 
     /// The deterministic seed of one cell — the cell's *identity* in the
     /// checkpoint file. Depends only on the cell's values and the base seed
-    /// (adding a grid row never re-seeds existing cells), and coincides with
-    /// [`crate::Sweep::trial_seed`] for baseline nets, so ported scenarios
-    /// reproduce their recorded trajectories.
+    /// (adding a grid row never re-seeds existing cells). Baseline nets and
+    /// the default RAES net keep the seeds of the pre-engine experiment
+    /// binaries, so their recorded trajectories reproduce.
     #[must_use]
     pub fn cell_seed(&self, cell: &CellSpec) -> u64 {
         let mut point_tag = derive_seed(
@@ -1032,6 +1031,40 @@ impl Scenario {
 // ---------------------------------------------------------------------------
 // Cell records (the JSONL schema)
 // ---------------------------------------------------------------------------
+
+fn escape_json(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn format_value(value: f64) -> String {
+    if value.is_finite() {
+        let formatted = format!("{value}");
+        // JSON has no distinct integer type, but serde_json prints whole f64s
+        // with a trailing `.0`; match that so round-trips are byte-stable.
+        if formatted.contains(['.', 'e', 'E']) {
+            formatted
+        } else {
+            format!("{formatted}.0")
+        }
+    } else {
+        // JSON cannot represent non-finite numbers; serde_json writes null.
+        "null".to_owned()
+    }
+}
 
 /// One completed cell: its identity plus the measured metrics, stored as one
 /// JSON line in `results/<scenario>.jsonl`.
@@ -1537,6 +1570,15 @@ impl ScenarioRegistry {
 // Runner
 // ---------------------------------------------------------------------------
 
+/// Per-cell thread budget of the scenario engine's batches: the pool
+/// divided by the number of cells that will actually run concurrently, never
+/// below 1. One big cell gets the whole machine; a grid wider than the
+/// machine gets one thread per cell.
+fn sweep_cell_threads(cells: usize) -> usize {
+    let pool = rayon::current_num_threads().max(1);
+    (pool / pool.min(cells.max(1))).max(1)
+}
+
 /// Options of one [`run_scenario`] invocation.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -1913,10 +1955,10 @@ pub fn scenario_series_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
 /// Runs a scenario's grid, streaming one JSON record per completed cell to
 /// the scenario's output file.
 ///
-/// Cells run in deterministic order, parallelised in batches through the
-/// same thread-budgeting rule as [`crate::run_sweep`] (each concurrently
-/// scheduled cell gets `pool / concurrent` threads for its in-cell engines,
-/// so nested parallelism never oversubscribes). The output file is written
+/// Cells run in deterministic order, parallelised in batches (each
+/// concurrently scheduled cell gets `pool / concurrent` threads for its
+/// in-cell engines, so nested parallelism never oversubscribes). The output
+/// file is written
 /// strictly *in cell order*: after every batch the writer advances past
 /// every cell whose line is available — records computed this run
 /// serialised once, records carried over from a `--resume` checkpoint
@@ -2018,7 +2060,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
     // `limit`).
     let mut cursor = 0usize;
     for batch in todo.chunks(batch_size) {
-        let threads = crate::runner::sweep_cell_threads(batch.len());
+        let threads = sweep_cell_threads(batch.len());
         let batch_records: Vec<Result<CellRun, Box<CellFailure>>> = batch
             .par_iter()
             .map(|&(cell, seed)| {
@@ -2265,73 +2307,108 @@ mod tests {
     }
 
     #[test]
-    fn cell_seeds_match_sweep_trial_seeds_for_baseline_nets() {
-        let s = Scenario::new(
-            "compat",
-            "seed compatibility",
-            Measurement::Flooding(FloodingSpec {
-                budget: RoundBudget::EngineDefault,
-                record_isolation: false,
-            }),
-        )
-        .nets([NetSpec::Baseline(ModelKind::Pdg)])
-        .victims([VictimPolicy::Uniform, VictimPolicy::HighestDegree])
-        .full_grid(Grid::new([256], [4], 3))
-        .base_seed(0xE12);
-        for victim in [VictimPolicy::Uniform, VictimPolicy::HighestDegree] {
-            let sweep = crate::Sweep::new("compat")
-                .models([ModelKind::Pdg])
-                .sizes([256])
-                .degrees([4])
-                .trials(3)
-                .base_seed(0xE12)
-                .victim_policy(victim);
-            let point = crate::ParamPoint {
-                model: ModelKind::Pdg,
-                n: 256,
-                d: 4,
-            };
-            for trial in 0..3 {
+    fn cell_seeds_of_baseline_and_default_raes_nets_are_pinned() {
+        // Literal seeds of the pre-engine experiment binaries: every recorded
+        // trajectory of a baseline or default-RAES cell depends on them, so
+        // the derivation must never drift. (n = 256, d = 4, trial 1, base
+        // seed 0xE12; columns are the uniform, oldest-first and
+        // highest-degree victim policies.)
+        let victims = [
+            VictimPolicy::Uniform,
+            VictimPolicy::OldestFirst,
+            VictimPolicy::HighestDegree,
+        ];
+        let table: [(NetSpec, [u64; 3]); 6] = [
+            (
+                NetSpec::Baseline(ModelKind::Sdg),
+                [
+                    9408347115066396762,
+                    8318049194518899155,
+                    12495110274473183719,
+                ],
+            ),
+            (
+                NetSpec::Baseline(ModelKind::Sdgr),
+                [
+                    5815353600894398679,
+                    15776249637612791667,
+                    7284544152706799286,
+                ],
+            ),
+            (
+                NetSpec::Baseline(ModelKind::Pdg),
+                [
+                    9535128174404400540,
+                    4669485268548506706,
+                    11182368313289434966,
+                ],
+            ),
+            (
+                NetSpec::Baseline(ModelKind::Pdgr),
+                [
+                    5911416491678202302,
+                    13430087722000577295,
+                    11782201207809271771,
+                ],
+            ),
+            (
+                NetSpec::Baseline(ModelKind::Raes),
+                [
+                    10041283654596338740,
+                    8616825705616495778,
+                    18244775982799239348,
+                ],
+            ),
+            (
+                NetSpec::raes_default(),
+                [
+                    10041283654596338740,
+                    8616825705616495778,
+                    18244775982799239348,
+                ],
+            ),
+        ];
+        let s = Scenario::new("seeds", "seed table", Measurement::Isolation).base_seed(0xE12);
+        for (net, seeds) in table {
+            for (victim, seed) in victims.into_iter().zip(seeds) {
                 let cell = CellSpec {
-                    net: NetSpec::Baseline(ModelKind::Pdg),
+                    net,
                     n: 256,
                     d: 4,
                     victim,
                     fault: FaultSpec::none(),
-                    trial,
+                    trial: 1,
                 };
-                assert_eq!(
-                    s.cell_seed(&cell),
-                    sweep.trial_seed(&point, trial),
-                    "engine and Sweep seeds must coincide ({victim}, trial {trial})"
-                );
+                assert_eq!(s.cell_seed(&cell), seed, "{net} {victim}");
             }
         }
-        // The default RAES net keeps ModelKind::Raes's sweep tag too.
-        let sweep = crate::Sweep::new("compat")
-            .models([ModelKind::Raes])
-            .sizes([256])
-            .degrees([4])
-            .base_seed(0xE12);
-        let raes_cell = CellSpec {
-            net: NetSpec::raes_default(),
-            n: 256,
-            d: 4,
-            victim: VictimPolicy::Uniform,
-            fault: FaultSpec::none(),
-            trial: 0,
-        };
-        assert_eq!(
-            s.base_seed(0xE12).cell_seed(&raes_cell),
-            sweep.trial_seed(
-                &crate::ParamPoint {
-                    model: ModelKind::Raes,
-                    n: 256,
-                    d: 4
-                },
-                0
-            )
-        );
+    }
+
+    #[test]
+    fn thread_budget_splits_the_pool_between_levels() {
+        let pool = rayon::current_num_threads().max(1);
+        // One cell: the cell body gets the whole machine.
+        assert_eq!(sweep_cell_threads(1), pool);
+        // More cells than cores: one thread each, never zero.
+        assert_eq!(sweep_cell_threads(10 * pool), 1);
+        // In between: shares multiply back to at most the pool.
+        for cells in 1..=2 * pool {
+            let per_cell = sweep_cell_threads(cells);
+            assert!(per_cell >= 1);
+            assert!(per_cell * pool.min(cells) <= pool);
+        }
+    }
+
+    #[test]
+    fn escaped_strings_round_trip_through_the_json_reader() {
+        let text = "quote \" backslash \\ newline \n tab \t bell \u{7} unicode Ω λ/µ";
+        let mut json = String::new();
+        escape_json(text, &mut json);
+        assert!(!json.contains('\n'));
+        assert_eq!(minijson::parse(&json).unwrap().as_str(), Some(text));
+        assert_eq!(format_value(11.0), "11.0");
+        assert_eq!(format_value(0.017), "0.017");
+        assert_eq!(format_value(f64::NAN), "null");
     }
 
     #[test]

@@ -13,48 +13,47 @@
 //! cargo run --release --example churn_resilience
 //! ```
 
-use dynamic_churn_networks::core::flooding::{run_flooding, FloodingConfig, FloodingSource};
-use dynamic_churn_networks::core::isolated::isolated_now;
-use dynamic_churn_networks::core::{DynamicNetwork, ModelKind};
-use dynamic_churn_networks::sim::{run_sweep, Aggregate, Sweep, Table};
+use dynamic_churn_networks::core::ModelKind;
+use dynamic_churn_networks::sim::scenario::{
+    run_scenario, FloodingSpec, Grid, Measurement, NetSpec, RoundBudget, RunOptions, Scenario,
+};
+use dynamic_churn_networks::sim::{Aggregate, Table};
 
 fn main() {
     let n = 512;
     let trials = 8;
+    let degrees = [1, 2, 3, 4, 6, 8, 12];
     println!("Churn resilience: broadcast coverage vs out-degree (n = {n}, {trials} trials)\n");
 
-    let sweep = Sweep::new("churn-resilience")
-        .models([ModelKind::Sdg, ModelKind::Sdgr])
-        .sizes([n])
-        .degrees([1, 2, 3, 4, 6, 8, 12])
-        .trials(trials)
-        .base_seed(99);
+    let scenario = Scenario::new(
+        "churn-resilience",
+        "Broadcast coverage and isolation vs degree",
+        Measurement::Flooding(FloodingSpec {
+            budget: RoundBudget::Log2Times(6),
+            record_isolation: true,
+        }),
+    )
+    .nets([
+        NetSpec::Baseline(ModelKind::Sdg),
+        NetSpec::Baseline(ModelKind::Sdgr),
+    ])
+    .full_grid(Grid::new([n], degrees, trials))
+    .base_seed(99);
 
-    #[derive(Clone)]
-    struct Trial {
-        coverage: f64,
-        completed: bool,
-        isolated_fraction: f64,
-    }
-
-    let results = run_sweep(&sweep, |ctx| {
-        let mut model = ctx.point.build(ctx.seed).expect("valid parameters");
-        model.warm_up();
-        let isolated_fraction = isolated_now(&model).len() as f64 / model.alive_count() as f64;
-        let record = run_flooding(
-            &mut model,
-            FloodingSource::NextToJoin,
-            &FloodingConfig::with_max_rounds(6 * (n as f64).log2().ceil() as u64),
-        );
-        Trial {
-            coverage: record.final_fraction(),
-            completed: record.outcome.is_complete(),
-            isolated_fraction,
-        }
-    });
+    // The engine checkpoints every cell to `<dir>/churn-resilience.jsonl`;
+    // a scratch directory keeps the example from touching the repository.
+    let dir = std::env::temp_dir().join(format!("churn-resilience-{}", std::process::id()));
+    let opts = RunOptions {
+        dir: dir.clone(),
+        ..RunOptions::default()
+    };
+    let records = run_scenario(&scenario, &opts)
+        .expect("scenario runs")
+        .records;
+    std::fs::remove_dir_all(&dir).ok();
 
     let mut table = Table::new(
-        "Broadcast coverage and isolation vs degree",
+        scenario.title(),
         [
             "model",
             "d",
@@ -63,32 +62,26 @@ fn main() {
             "mean isolated fraction",
         ],
     );
-    for point in sweep.points() {
-        let trials_for_point: Vec<&Trial> = results
-            .iter()
-            .filter(|r| r.point == point)
-            .map(|r| &r.value)
-            .collect();
-        let coverage = Aggregate::from_values(
-            &trials_for_point
+    for net in scenario.net_axis() {
+        for d in degrees {
+            let cells: Vec<_> = records
                 .iter()
-                .map(|t| t.coverage)
-                .collect::<Vec<_>>(),
-        );
-        let isolated = Aggregate::from_values(
-            &trials_for_point
-                .iter()
-                .map(|t| t.isolated_fraction)
-                .collect::<Vec<_>>(),
-        );
-        let completed = trials_for_point.iter().filter(|t| t.completed).count();
-        table.push_row([
-            point.model.label().to_string(),
-            point.d.to_string(),
-            coverage.display_with_ci(3),
-            format!("{completed}/{}", trials_for_point.len()),
-            format!("{:.4}", isolated.mean),
-        ]);
+                .filter(|r| r.net == net.label() && r.d == d)
+                .collect();
+            let column = |metric: &str| -> Vec<f64> {
+                cells.iter().filter_map(|r| r.metric(metric)).collect()
+            };
+            let coverage = Aggregate::from_values(&column("final_fraction"));
+            let isolated = Aggregate::from_values(&column("isolated_fraction"));
+            let completed = column("completed").iter().filter(|&&c| c == 1.0).count();
+            table.push_row([
+                net.label(),
+                d.to_string(),
+                coverage.display_with_ci(3),
+                format!("{completed}/{}", cells.len()),
+                format!("{:.4}", isolated.mean),
+            ]);
+        }
     }
     table.print();
 

@@ -13,8 +13,8 @@
 //!   traversal and vertex-expansion estimation;
 //! * [`stochastic`] (`churn-stochastic`) — distributions, the birth–death jump
 //!   chain, event queues and statistics;
-//! * [`sim`] (`churn-sim`) — the experiment harness (sweeps, parallel trials,
-//!   tables);
+//! * [`sim`] (`churn-sim`) — the experiment harness (the scenario engine,
+//!   parallel seeded cells, tables);
 //! * [`observe`] (`churn-observe`) — incremental snapshots and live metric
 //!   trackers over the graph's change feed, for O(churn) per-round
 //!   observation;

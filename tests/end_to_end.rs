@@ -1,42 +1,64 @@
 //! Cross-crate integration tests: models built through the public facade,
-//! driven by the experiment harness, measured by the analysis crate.
+//! driven by the scenario engine, measured by the analysis crate.
 
 use dynamic_churn_networks::analysis::{classify_scaling, Comparison, ComparisonSet, ScalingClass};
-use dynamic_churn_networks::core::flooding::{run_flooding, FloodingConfig, FloodingSource};
 use dynamic_churn_networks::core::{DynamicNetwork, ModelKind};
-use dynamic_churn_networks::sim::{aggregate_by_point, run_sweep, Sweep};
+use dynamic_churn_networks::sim::scenario::{
+    run_scenario, CellRecord, FloodingSpec, Grid, Measurement, NetSpec, RoundBudget, RunOptions,
+    Scenario,
+};
+use dynamic_churn_networks::sim::Aggregate;
+
+/// Runs a scenario's full grid into a scratch directory and returns its
+/// records in cell order.
+fn run_grid(scenario: &Scenario) -> Vec<CellRecord> {
+    let dir = std::env::temp_dir().join(format!(
+        "churn-e2e-{}-{}",
+        scenario.name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = RunOptions {
+        dir: dir.clone(),
+        ..RunOptions::default()
+    };
+    let outcome = run_scenario(scenario, &opts).expect("scenario runs");
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    std::fs::remove_dir_all(&dir).ok();
+    outcome.records
+}
+
+/// Mean of `metric` over the records matching `keep`.
+fn mean_of(records: &[CellRecord], metric: &str, keep: impl Fn(&CellRecord) -> bool) -> Aggregate {
+    let values: Vec<f64> = records
+        .iter()
+        .filter(|r| keep(r))
+        .map(|r| r.metric(metric).expect("metric recorded"))
+        .collect();
+    Aggregate::from_values(&values)
+}
 
 #[test]
 fn sweep_over_all_models_flooding_coverage() {
-    // One small sweep across all four models; the regeneration models must beat
-    // the static ones in coverage at equal (n, d).
-    let sweep = Sweep::new("integration-coverage")
-        .models(ModelKind::ALL)
-        .sizes([192])
-        .degrees([6])
-        .trials(3)
-        .base_seed(1);
+    // One small grid across all four models; the regeneration models must
+    // beat the static ones in coverage at equal (n, d).
+    let scenario = Scenario::new(
+        "integration-coverage",
+        "flooding coverage over the four models",
+        Measurement::Flooding(FloodingSpec {
+            budget: RoundBudget::Fixed(80),
+            record_isolation: false,
+        }),
+    )
+    .nets(ModelKind::ALL.map(NetSpec::Baseline))
+    .full_grid(Grid::new([192], [6], 3))
+    .base_seed(1);
 
-    let results = run_sweep(&sweep, |ctx| {
-        let mut model = ctx.point.build(ctx.seed).expect("valid point");
-        model.warm_up();
-        let record = run_flooding(
-            &mut model,
-            FloodingSource::NextToJoin,
-            &FloodingConfig::with_max_rounds(80),
-        );
-        record.final_fraction()
-    });
-    assert_eq!(results.len(), 4 * 3);
+    let records = run_grid(&scenario);
+    assert_eq!(records.len(), 4 * 3);
 
-    let grouped = aggregate_by_point(&results, |r| r.value);
-    let coverage = |kind: ModelKind| {
-        grouped
-            .iter()
-            .find(|(k, _)| k.model == kind.label())
-            .map(|(_, agg)| agg.mean)
-            .expect("every model appears in the sweep")
-    };
+    let coverage =
+        |kind: ModelKind| mean_of(&records, "final_fraction", |r| r.net == kind.label()).mean;
 
     assert!(
         coverage(ModelKind::Sdgr) >= coverage(ModelKind::Sdg),
@@ -57,29 +79,32 @@ fn sweep_over_all_models_flooding_coverage() {
 #[test]
 fn flooding_time_of_sdgr_scales_logarithmically_not_linearly() {
     // The shape distinction at the heart of Table 1, measured end to end through
-    // the harness and classified by the analysis crate.
+    // the engine and classified by the analysis crate.
     let sizes = [64usize, 128, 256, 512, 1024];
-    let mut points = Vec::new();
-    for &n in &sizes {
-        let sweep = Sweep::new("scaling")
-            .models([ModelKind::Sdgr])
-            .sizes([n])
-            .degrees([8])
-            .trials(3)
-            .base_seed(7);
-        let results = run_sweep(&sweep, |ctx| {
-            let mut model = ctx.point.build(ctx.seed).expect("valid point");
-            model.warm_up();
-            let record = run_flooding(
-                &mut model,
-                FloodingSource::NextToJoin,
-                &FloodingConfig::default(),
-            );
-            record.outcome.rounds().expect("SDGR flooding completes") as f64
-        });
-        let mean = results.iter().map(|r| r.value).sum::<f64>() / results.len() as f64;
-        points.push((n as f64, mean));
-    }
+    let scenario = Scenario::new(
+        "scaling",
+        "SDGR flooding time over n",
+        Measurement::Flooding(FloodingSpec {
+            budget: RoundBudget::EngineDefault,
+            record_isolation: false,
+        }),
+    )
+    .nets([NetSpec::Baseline(ModelKind::Sdgr)])
+    .full_grid(Grid::new(sizes, [8], 3))
+    .base_seed(7);
+
+    let records = run_grid(&scenario);
+    assert!(
+        records.iter().all(|r| r.metric("completed") == Some(1.0)),
+        "SDGR flooding completes"
+    );
+    let points: Vec<(f64, f64)> = sizes
+        .iter()
+        .map(|&n| {
+            let mean = mean_of(&records, "flooding_rounds", |r| r.n == n).mean;
+            (n as f64, mean)
+        })
+        .collect();
 
     // Flooding time grows with n but far slower than linearly.
     let first = points.first().unwrap().1;
@@ -98,26 +123,21 @@ fn flooding_time_of_sdgr_scales_logarithmically_not_linearly() {
 
 #[test]
 fn comparison_set_renders_measured_sweep() {
-    // The reporting pipeline used by the experiment binaries, end to end.
-    let sweep = Sweep::new("report")
-        .models([ModelKind::Sdg, ModelKind::Sdgr])
-        .sizes([128])
-        .degrees([4])
-        .trials(2)
+    // The reporting pipeline used by `exp report`, end to end.
+    let nets = [ModelKind::Sdg, ModelKind::Sdgr];
+    let scenario = Scenario::new("report", "isolated nodes", Measurement::Isolation)
+        .nets(nets.map(NetSpec::Baseline))
+        .full_grid(Grid::new([128], [4], 2))
         .base_seed(3);
-    let results = run_sweep(&sweep, |ctx| {
-        let mut model = ctx.point.build(ctx.seed).expect("valid point");
-        model.warm_up();
-        dynamic_churn_networks::core::isolated::isolated_now(&model).len() as f64
-            / model.alive_count() as f64
-    });
-    let grouped = aggregate_by_point(&results, |r| r.value);
+    let records = run_grid(&scenario);
 
     let mut set = ComparisonSet::new("integration — isolated nodes");
-    for (key, agg) in &grouped {
-        let regenerates = key.model.ends_with('R');
+    for kind in nets {
+        let agg = mean_of(&records, "isolated_fraction", |r| r.net == kind.label());
+        assert_eq!(agg.count, 2);
+        let regenerates = kind.label().ends_with('R');
         set.push(Comparison::new(
-            format!("isolated fraction, {key}"),
+            format!("isolated fraction, {kind} n=128 d=4"),
             if regenerates {
                 "Theorem 3.15"
             } else {
