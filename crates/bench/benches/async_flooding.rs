@@ -2,7 +2,7 @@
 //! asynchronous engine over the same warm SDGR network:
 //!
 //! * `sync` — the sequential [`run_flooding`] round loop (the PR 1 baseline);
-//! * `zero-latency` — [`run_async_flooding`] with `Fixed(0.0)` latency and
+//! * `zero-latency` — [`run_async_flooding_faulty`] (empty fault plan) with `Fixed(0.0)` latency and
 //!   unlimited bandwidth: semantically BFS, so the slowdown vs. `sync` is the
 //!   pure per-message scheduler overhead (one heap event per delivery);
 //! * `exponential` — the production regime registered as the
@@ -33,7 +33,8 @@ use std::time::Duration;
 use churn_core::flooding::{run_flooding, FloodingConfig, FloodingSource};
 use churn_core::{AnyModel, DynamicNetwork, ModelKind};
 use churn_event::{
-    run_async_flooding, AsyncFloodingConfig, AsyncSource, BandwidthModel, LatencyModel,
+    run_async_flooding_faulty, AsyncFloodingConfig, AsyncSource, BandwidthModel, FaultPlan,
+    LatencyModel,
 };
 
 const SIZES: [usize; 3] = [2_048, 65_536, 100_000];
@@ -68,9 +69,11 @@ fn bench_async_row(
     group.bench_with_input(id, &n, |bencher, &n| {
         let template = template.get_or_insert_with(|| warm_template(n));
         let cfg = async_cfg(latency, bandwidth, n);
+        let plan = FaultPlan::none();
         bencher.iter(|| {
             let mut model = template.clone();
-            let record = run_async_flooding(&mut model, AsyncSource::Newest, &cfg, 0xBE7);
+            let record =
+                run_async_flooding_faulty(&mut model, AsyncSource::Newest, &cfg, &plan, 0xBE7);
             criterion::black_box(record.stats.events_processed)
         });
     });

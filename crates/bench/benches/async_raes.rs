@@ -12,7 +12,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use churn_event::{run_async_raes, AsyncRaesConfig, BandwidthModel, LatencyModel};
+use churn_event::{
+    run_async_raes_faulty, AsyncRaesConfig, BandwidthModel, FaultPlan, LatencyModel,
+};
 
 fn cfg(n: usize) -> AsyncRaesConfig {
     AsyncRaesConfig {
@@ -36,8 +38,9 @@ fn bench_async_raes(c: &mut Criterion) {
         &100_000usize,
         |b, &n| {
             let cfg = cfg(n);
+            let plan = FaultPlan::none();
             b.iter(|| {
-                let record = run_async_raes(&cfg, 0xAE5);
+                let record = run_async_raes_faulty(&cfg, &plan, 0xAE5);
                 criterion::black_box(record.stats.events_processed)
             });
         },
@@ -56,8 +59,9 @@ fn bench_async_raes(c: &mut Criterion) {
         &1_000_000usize,
         |b, &n| {
             let cfg = cfg(n);
+            let plan = FaultPlan::none();
             b.iter(|| {
-                let record = run_async_raes(&cfg, 0xAE5);
+                let record = run_async_raes_faulty(&cfg, &plan, 0xAE5);
                 criterion::black_box(record.stats.events_processed)
             });
         },

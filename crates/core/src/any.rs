@@ -6,8 +6,7 @@ use churn_graph::{DynamicGraph, NodeId};
 
 use crate::model::DynamicNetwork;
 use crate::{
-    ChurnSummary, EdgePolicy, ModelEvent, PoissonConfig, PoissonModel, Result, StreamingConfig,
-    StreamingModel,
+    ChurnSummary, EdgePolicy, PoissonConfig, PoissonModel, Result, StreamingConfig, StreamingModel,
 };
 
 /// The four dynamic network models of the paper (Table 1's columns × rows),
@@ -271,10 +270,6 @@ impl DynamicNetwork for AnyModel {
 
     fn is_warm(&self) -> bool {
         delegate!(self, m => m.is_warm())
-    }
-
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        delegate!(self, m => m.drain_events())
     }
 }
 

@@ -53,8 +53,7 @@ impl std::fmt::Display for EdgePolicy {
 ///
 /// let config = StreamingConfig::new(1_000, 8)
 ///     .edge_policy(EdgePolicy::Regenerate)
-///     .seed(7)
-///     .record_events(true);
+///     .seed(7);
 /// assert_eq!(config.n, 1_000);
 /// assert!(config.edge_policy.regenerates());
 /// ```
@@ -70,13 +69,11 @@ pub struct StreamingConfig {
     /// RNG seed; two models built from identical configurations evolve
     /// identically.
     pub seed: u64,
-    /// Whether to keep a log of [`crate::ModelEvent`]s (costs memory on long runs).
-    pub record_events: bool,
 }
 
 impl StreamingConfig {
     /// Creates a configuration with the given network size and degree, static
-    /// edge policy, seed 0 and event recording disabled.
+    /// edge policy and seed 0.
     #[must_use]
     pub fn new(n: usize, d: usize) -> Self {
         StreamingConfig {
@@ -84,7 +81,6 @@ impl StreamingConfig {
             d,
             edge_policy: EdgePolicy::Static,
             seed: 0,
-            record_events: false,
         }
     }
 
@@ -99,13 +95,6 @@ impl StreamingConfig {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables event recording.
-    #[must_use]
-    pub fn record_events(mut self, record: bool) -> Self {
-        self.record_events = record;
         self
     }
 
@@ -156,8 +145,6 @@ pub struct PoissonConfig {
     pub edge_policy: EdgePolicy,
     /// RNG seed.
     pub seed: u64,
-    /// Whether to keep a log of [`crate::ModelEvent`]s.
-    pub record_events: bool,
     /// How death events pick their victim: the paper's uniform churn, or an
     /// adversarial (oldest-first / highest-degree) selection.
     pub victim_policy: VictimPolicy,
@@ -173,7 +160,6 @@ impl PoissonConfig {
             d,
             edge_policy: EdgePolicy::Static,
             seed: 0,
-            record_events: false,
             victim_policy: VictimPolicy::Uniform,
         }
     }
@@ -187,7 +173,6 @@ impl PoissonConfig {
             d,
             edge_policy: EdgePolicy::Static,
             seed: 0,
-            record_events: false,
             victim_policy: VictimPolicy::Uniform,
         }
     }
@@ -210,13 +195,6 @@ impl PoissonConfig {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables event recording.
-    #[must_use]
-    pub fn record_events(mut self, record: bool) -> Self {
-        self.record_events = record;
         self
     }
 
@@ -276,13 +254,11 @@ mod tests {
     fn streaming_config_builder_sets_fields() {
         let c = StreamingConfig::new(100, 4)
             .edge_policy(EdgePolicy::Regenerate)
-            .seed(9)
-            .record_events(true);
+            .seed(9);
         assert_eq!(c.n, 100);
         assert_eq!(c.d, 4);
         assert_eq!(c.edge_policy, EdgePolicy::Regenerate);
         assert_eq!(c.seed, 9);
-        assert!(c.record_events);
         assert!(c.validate().is_ok());
     }
 

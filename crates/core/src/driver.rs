@@ -250,7 +250,7 @@ pub fn poisson_advance_until<H: PoissonChurnHost>(
 }
 
 /// [`poisson_advance_until`] without churn-summary accumulation: the hooks
-/// still see every event (event logs, birth times and topology mutations are
+/// still see every event (birth times and topology mutations are
 /// identical, as is the RNG stream), only the who-was-born-and-died report is
 /// skipped. This keeps long warm-up windows linear in the event count.
 pub fn poisson_advance_until_discarding<H: PoissonChurnHost>(

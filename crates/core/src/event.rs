@@ -1,90 +1,8 @@
-//! Model events and per-step churn summaries.
+//! Per-step churn summaries.
 
 use serde::{Deserialize, Serialize};
 
-use churn_graph::{EdgeSlot, NodeId};
-
-/// A single structural event of a dynamic network model.
-///
-/// Events are recorded (when [`crate::StreamingConfig::record_events`] /
-/// [`crate::PoissonConfig::record_events`] is enabled) in the order they happen,
-/// with the model time at which they happened, and can be drained with
-/// [`crate::DynamicNetwork::drain_events`]. They are the instrumentation hook
-/// used by the experiment harness and the peer-to-peer overlay example.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ModelEvent {
-    /// A node joined the network.
-    NodeJoined {
-        /// The new node.
-        id: NodeId,
-        /// Model time of the event.
-        time: f64,
-    },
-    /// A node left the network (its lifetime expired).
-    NodeDied {
-        /// The departed node.
-        id: NodeId,
-        /// Model time of the event.
-        time: f64,
-    },
-    /// A connection request was pointed at a target when its owner joined.
-    EdgeCreated {
-        /// The out-slot that was connected.
-        slot: EdgeSlot,
-        /// The chosen target.
-        target: NodeId,
-        /// Model time of the event.
-        time: f64,
-    },
-    /// A connection was lost because one endpoint died.
-    EdgeDropped {
-        /// The out-slot that lost its target.
-        slot: EdgeSlot,
-        /// The target that disappeared.
-        target: NodeId,
-        /// Model time of the event.
-        time: f64,
-    },
-    /// A dangling request was re-pointed at a fresh uniform target
-    /// (only in models with edge regeneration).
-    EdgeRegenerated {
-        /// The out-slot that was re-connected.
-        slot: EdgeSlot,
-        /// The new target.
-        target: NodeId,
-        /// Model time of the event.
-        time: f64,
-    },
-}
-
-impl ModelEvent {
-    /// The model time at which the event happened.
-    #[must_use]
-    pub fn time(&self) -> f64 {
-        match self {
-            ModelEvent::NodeJoined { time, .. }
-            | ModelEvent::NodeDied { time, .. }
-            | ModelEvent::EdgeCreated { time, .. }
-            | ModelEvent::EdgeDropped { time, .. }
-            | ModelEvent::EdgeRegenerated { time, .. } => *time,
-        }
-    }
-
-    /// Returns `true` for churn (node-level) events.
-    #[must_use]
-    pub fn is_churn(&self) -> bool {
-        matches!(
-            self,
-            ModelEvent::NodeJoined { .. } | ModelEvent::NodeDied { .. }
-        )
-    }
-
-    /// Returns `true` for topology (edge-level) events.
-    #[must_use]
-    pub fn is_topology(&self) -> bool {
-        !self.is_churn()
-    }
-}
+use churn_graph::NodeId;
 
 /// Summary of the churn that happened during one call to
 /// [`crate::DynamicNetwork::advance_time_unit`].
@@ -160,43 +78,6 @@ mod tests {
 
     fn id(raw: u64) -> NodeId {
         NodeId::new(raw)
-    }
-
-    #[test]
-    fn event_accessors() {
-        let slot = EdgeSlot {
-            owner: id(1),
-            slot: 0,
-        };
-        let events = [
-            ModelEvent::NodeJoined {
-                id: id(1),
-                time: 1.0,
-            },
-            ModelEvent::NodeDied {
-                id: id(1),
-                time: 2.0,
-            },
-            ModelEvent::EdgeCreated {
-                slot,
-                target: id(2),
-                time: 3.0,
-            },
-            ModelEvent::EdgeDropped {
-                slot,
-                target: id(2),
-                time: 4.0,
-            },
-            ModelEvent::EdgeRegenerated {
-                slot,
-                target: id(3),
-                time: 5.0,
-            },
-        ];
-        let times: Vec<f64> = events.iter().map(ModelEvent::time).collect();
-        assert_eq!(times, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!(events[0].is_churn() && events[1].is_churn());
-        assert!(events[2].is_topology() && events[4].is_topology());
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use alive::AliveSet;
 pub use any::{AnyModel, ModelKind};
 pub use config::{EdgePolicy, PoissonConfig, StreamingConfig, MIN_NETWORK_SIZE};
 pub use error::ModelError;
-pub use event::{ChurnSummary, ModelEvent};
+pub use event::ChurnSummary;
 pub use model::DynamicNetwork;
 pub use poisson::PoissonModel;
 pub use streaming::StreamingModel;

@@ -2,7 +2,7 @@
 
 use churn_graph::{DynamicGraph, NodeId, Snapshot};
 
-use crate::{ChurnSummary, EdgePolicy, ModelEvent, ModelKind};
+use crate::{ChurnSummary, EdgePolicy, ModelKind};
 
 /// Common interface of the streaming and Poisson dynamic network models.
 ///
@@ -82,10 +82,6 @@ pub trait DynamicNetwork {
 
     /// Returns `true` once the stationary-regime precondition holds.
     fn is_warm(&self) -> bool;
-
-    /// Drains the recorded [`ModelEvent`] log (empty unless event recording was
-    /// enabled in the configuration).
-    fn drain_events(&mut self) -> Vec<ModelEvent>;
 
     /// A compact immutable snapshot of the current topology.
     fn snapshot(&self) -> Snapshot {

@@ -3,13 +3,13 @@
 use std::collections::VecDeque;
 
 use churn_graph::hashing::IdHashMap;
-use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode};
+use churn_graph::{DynamicGraph, NodeId, NodeIdAllocator, RemovedNode};
 use churn_stochastic::process::{BirthDeathChain, Jump, JumpKind};
 use churn_stochastic::rng::{seeded_rng, SimRng};
 
 use crate::driver::{self, ChurnHost, JumpClock, PoissonChurnHost, VictimPolicy};
 use crate::model::DynamicNetwork;
-use crate::{ChurnSummary, EdgePolicy, ModelEvent, PoissonConfig, Result};
+use crate::{ChurnSummary, EdgePolicy, PoissonConfig, Result};
 
 /// The kind of churn event a Poisson jump realised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +68,6 @@ pub struct PoissonModel {
     birth_time: IdHashMap<NodeId, f64>,
     alloc: NodeIdAllocator,
     newest: Option<NodeId>,
-    events: Vec<ModelEvent>,
     /// Reused buffers: the removal report and the batch of sampled targets.
     /// Steady-state jumps allocate nothing.
     removal_scratch: RemovedNode,
@@ -106,7 +105,6 @@ impl PoissonModel {
             birth_time: IdHashMap::with_capacity_and_hasher(capacity, Default::default()),
             alloc: NodeIdAllocator::new(),
             newest: None,
-            events: Vec::new(),
             removal_scratch: RemovedNode::default(),
             sample_scratch: Vec::new(),
             order: VecDeque::new(),
@@ -151,7 +149,7 @@ impl PoissonModel {
             }
             JumpKind::Death => {
                 let (victim, victim_idx) = self.sample_victim_node();
-                self.kill_node_at(victim, victim_idx, self.time);
+                self.kill_node(victim, victim_idx);
                 PoissonEvent::Departure {
                     id: victim,
                     time: self.time,
@@ -228,9 +226,6 @@ impl PoissonModel {
             .graph
             .add_node_indexed(id, d)
             .expect("allocator never reuses identifiers");
-        if self.config.record_events {
-            self.events.push(ModelEvent::NodeJoined { id, time });
-        }
         // d uniform requests among the pre-existing nodes: the newborn is
         // already registered in the member list, so exclude it by index.
         // Targets are drawn in a batch before any record is touched so the
@@ -243,17 +238,6 @@ impl PoissonModel {
             self.graph
                 .set_out_slot_at(idx, slot, target_idx)
                 .expect("valid request");
-            if self.config.record_events {
-                let target = self
-                    .graph
-                    .id_at(target_idx)
-                    .expect("sampled member is alive");
-                self.events.push(ModelEvent::EdgeCreated {
-                    slot: EdgeSlot { owner: id, slot },
-                    target,
-                    time,
-                });
-            }
         }
         self.birth_time.insert(id, time);
         self.newest = Some(id);
@@ -263,7 +247,7 @@ impl PoissonModel {
         (id, idx)
     }
 
-    fn kill_node_at(&mut self, victim: NodeId, victim_idx: u32, time: f64) {
+    fn kill_node(&mut self, victim: NodeId, victim_idx: u32) {
         self.birth_time.remove(&victim);
         if self.newest == Some(victim) {
             self.newest = None;
@@ -272,26 +256,6 @@ impl PoissonModel {
         self.graph
             .remove_node_into(victim_idx, &mut removed)
             .expect("sampled victim is alive");
-        if self.config.record_events {
-            self.events.push(ModelEvent::NodeDied { id: victim, time });
-            for (slot, &target) in removed.out_targets.iter().enumerate() {
-                self.events.push(ModelEvent::EdgeDropped {
-                    slot: EdgeSlot {
-                        owner: victim,
-                        slot,
-                    },
-                    target,
-                    time,
-                });
-            }
-            for &slot in &removed.dangling_slots {
-                self.events.push(ModelEvent::EdgeDropped {
-                    slot,
-                    target: victim,
-                    time,
-                });
-            }
-        }
         if self.config.edge_policy.regenerates() {
             // dangling_dense is aligned with dangling_slots and sorted by
             // (owner id, slot), so the regeneration draw order is
@@ -304,30 +268,15 @@ impl PoissonModel {
                     None => self.sample_scratch.push(u32::MAX),
                 }
             }
-            for (pair, &target_idx) in removed
-                .dangling_slots
-                .iter()
-                .zip(&removed.dangling_dense)
-                .zip(&self.sample_scratch)
+            for (&(owner_idx, slot_pos), &target_idx) in
+                removed.dangling_dense.iter().zip(&self.sample_scratch)
             {
-                let (slot, &(owner_idx, slot_pos)) = pair;
                 if target_idx == u32::MAX {
                     continue;
                 }
                 self.graph
                     .set_out_slot_at(owner_idx, slot_pos, target_idx)
                     .expect("owner alive, slot in range, target distinct");
-                if self.config.record_events {
-                    let target = self
-                        .graph
-                        .id_at(target_idx)
-                        .expect("sampled member is alive");
-                    self.events.push(ModelEvent::EdgeRegenerated {
-                        slot: *slot,
-                        target,
-                        time,
-                    });
-                }
             }
         }
         self.removal_scratch = removed;
@@ -343,8 +292,8 @@ impl ChurnHost for PoissonModel {
         self.spawn_node_at(time)
     }
 
-    fn kill(&mut self, victim: NodeId, victim_idx: u32, time: f64) {
-        self.kill_node_at(victim, victim_idx, time);
+    fn kill(&mut self, victim: NodeId, victim_idx: u32, _time: f64) {
+        self.kill_node(victim, victim_idx);
     }
 }
 
@@ -411,7 +360,7 @@ impl DynamicNetwork for PoissonModel {
             // events, and the net-effect summary bookkeeping is quadratic in
             // window length (each death scans the window's births) — minutes
             // at n = 10^6, for a report nobody reads. Same RNG stream, same
-            // trajectory, same event log.
+            // trajectory.
             let chain = self.chain;
             let mut clock = JumpClock {
                 time: self.time,
@@ -425,10 +374,6 @@ impl DynamicNetwork for PoissonModel {
 
     fn is_warm(&self) -> bool {
         self.time >= 3.0 * self.expected_size() as f64
-    }
-
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 
@@ -524,32 +469,25 @@ mod tests {
     #[test]
     fn lifetimes_are_exponential_with_mean_n() {
         let n = 200usize;
-        let mut m = PoissonModel::new(
-            PoissonConfig::with_expected_size(n, 2)
-                .seed(4)
-                .record_events(true),
-        )
-        .unwrap();
-        m.advance_until(8.0 * n as f64);
-        let events = m.drain_events();
+        let mut m = PoissonModel::new(PoissonConfig::with_expected_size(n, 2).seed(4)).unwrap();
         let mut births: HashMap<NodeId, f64> = HashMap::new();
         let mut lifetimes = OnlineStats::new();
-        for e in events {
-            match e {
-                ModelEvent::NodeJoined { id, time } => {
-                    births.insert(id, time);
-                }
-                ModelEvent::NodeDied { id, time } => {
-                    // Only count nodes born early enough that right-censoring by the
-                    // end of the observation window is negligible (survival past
-                    // 6n has probability e^{-6}).
-                    if let Some(&b) = births.get(&id) {
-                        if b < 2.0 * n as f64 {
-                            lifetimes.push(time - b);
-                        }
+        // Births and deaths come from the per-unit churn summaries, so a
+        // death is stamped with the end of the unit it happened in.
+        for _ in 0..8 * n {
+            let summary = m.advance_time_unit();
+            for id in summary.births {
+                births.insert(id, m.birth_time(id).expect("summary births are alive"));
+            }
+            for id in summary.deaths {
+                // Only count nodes born early enough that right-censoring by the
+                // end of the observation window is negligible (survival past
+                // 6n has probability e^{-6}).
+                if let Some(&b) = births.get(&id) {
+                    if b < 2.0 * n as f64 {
+                        lifetimes.push(m.time() - b);
                     }
                 }
-                _ => {}
             }
         }
         assert!(lifetimes.count() > 250);

@@ -2,12 +2,12 @@
 
 use std::collections::VecDeque;
 
-use churn_graph::{DynamicGraph, EdgeSlot, NodeId, NodeIdAllocator, RemovedNode};
+use churn_graph::{DynamicGraph, NodeId, NodeIdAllocator, RemovedNode};
 use churn_stochastic::rng::{seeded_rng, SimRng};
 
 use crate::driver::{self, ChurnHost};
 use crate::model::DynamicNetwork;
-use crate::{ChurnSummary, EdgePolicy, ModelEvent, Result, StreamingConfig};
+use crate::{ChurnSummary, EdgePolicy, Result, StreamingConfig};
 
 /// The streaming dynamic graph: SDG without edge regeneration, SDGR with it.
 ///
@@ -50,7 +50,6 @@ pub struct StreamingModel {
     /// expiring node can be removed without an identifier lookup.
     order: VecDeque<(NodeId, u32)>,
     alloc: NodeIdAllocator,
-    events: Vec<ModelEvent>,
     /// Reused buffers: the removal report and the batch of sampled targets.
     /// Steady-state rounds allocate nothing.
     removal_scratch: RemovedNode,
@@ -72,7 +71,6 @@ impl StreamingModel {
             round: 0,
             order: VecDeque::with_capacity(config.n + 1),
             alloc: NodeIdAllocator::new(),
-            events: Vec::new(),
             removal_scratch: RemovedNode::default(),
             sample_scratch: Vec::new(),
             config,
@@ -153,10 +151,6 @@ impl StreamingModel {
             .graph
             .add_node_indexed(id, d)
             .expect("allocator never reuses identifiers");
-        let time = self.round as f64;
-        if self.config.record_events {
-            self.events.push(ModelEvent::NodeJoined { id, time });
-        }
         // d independent uniform requests among the nodes already in the
         // network (the newborn itself is excluded by index, an O(1) slab
         // draw). Targets are drawn in a batch before any record is touched so
@@ -169,48 +163,16 @@ impl StreamingModel {
             self.graph
                 .set_out_slot_at(idx, slot, target_idx)
                 .expect("slot in range, target alive, no self-loop");
-            if self.config.record_events {
-                let target = self
-                    .graph
-                    .id_at(target_idx)
-                    .expect("sampled member is alive");
-                self.events.push(ModelEvent::EdgeCreated {
-                    slot: EdgeSlot { owner: id, slot },
-                    target,
-                    time,
-                });
-            }
         }
         debug_assert_eq!(self.birth_round(id), Some(self.round));
         (id, idx)
     }
 
-    fn kill_node(&mut self, victim: NodeId, victim_idx: u32) {
-        let time = self.round as f64;
+    fn kill_node(&mut self, victim_idx: u32) {
         let mut removed = std::mem::take(&mut self.removal_scratch);
         self.graph
             .remove_node_into(victim_idx, &mut removed)
             .expect("victim from the order queue is alive");
-        if self.config.record_events {
-            self.events.push(ModelEvent::NodeDied { id: victim, time });
-            for (slot, &target) in removed.out_targets.iter().enumerate() {
-                self.events.push(ModelEvent::EdgeDropped {
-                    slot: EdgeSlot {
-                        owner: victim,
-                        slot,
-                    },
-                    target,
-                    time,
-                });
-            }
-            for &slot in &removed.dangling_slots {
-                self.events.push(ModelEvent::EdgeDropped {
-                    slot,
-                    target: victim,
-                    time,
-                });
-            }
-        }
         if self.config.edge_policy.regenerates() {
             // dangling_dense is aligned with dangling_slots and sorted by
             // (owner id, slot), so the regeneration draw order is
@@ -224,30 +186,15 @@ impl StreamingModel {
                     None => self.sample_scratch.push(u32::MAX),
                 }
             }
-            for (pair, &target_idx) in removed
-                .dangling_slots
-                .iter()
-                .zip(&removed.dangling_dense)
-                .zip(&self.sample_scratch)
+            for (&(owner_idx, slot_pos), &target_idx) in
+                removed.dangling_dense.iter().zip(&self.sample_scratch)
             {
-                let (slot, &(owner_idx, slot_pos)) = pair;
                 if target_idx == u32::MAX {
                     continue;
                 }
                 self.graph
                     .set_out_slot_at(owner_idx, slot_pos, target_idx)
                     .expect("owner alive, slot in range, target distinct");
-                if self.config.record_events {
-                    let target = self
-                        .graph
-                        .id_at(target_idx)
-                        .expect("sampled member is alive");
-                    self.events.push(ModelEvent::EdgeRegenerated {
-                        slot: *slot,
-                        target,
-                        time,
-                    });
-                }
             }
         }
         self.removal_scratch = removed;
@@ -256,15 +203,15 @@ impl StreamingModel {
 
 /// Driver hooks (see [`crate::driver`]): the streaming loop owns the birth
 /// order and the death-before-birth sequencing; the model only spawns and
-/// kills. The `time` argument is redundant for streaming models — events are
-/// stamped with the round counter.
+/// kills. The `time` argument is redundant for streaming models, whose
+/// clock is the round counter.
 impl ChurnHost for StreamingModel {
     fn spawn(&mut self, _time: f64) -> (NodeId, u32) {
         self.spawn_node()
     }
 
-    fn kill(&mut self, victim: NodeId, victim_idx: u32, _time: f64) {
-        self.kill_node(victim, victim_idx);
+    fn kill(&mut self, _victim: NodeId, victim_idx: u32, _time: f64) {
+        self.kill_node(victim_idx);
     }
 }
 
@@ -328,10 +275,6 @@ impl DynamicNetwork for StreamingModel {
         // fixed t > n" statements describe.
         self.round >= 2 * self.config.n as u64
     }
-
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        std::mem::take(&mut self.events)
-    }
 }
 
 #[cfg(test)]
@@ -342,13 +285,8 @@ mod tests {
     use std::collections::HashMap;
 
     fn model(n: usize, d: usize, policy: EdgePolicy, seed: u64) -> StreamingModel {
-        StreamingModel::new(
-            StreamingConfig::new(n, d)
-                .edge_policy(policy)
-                .seed(seed)
-                .record_events(true),
-        )
-        .expect("valid configuration")
+        StreamingModel::new(StreamingConfig::new(n, d).edge_policy(policy).seed(seed))
+            .expect("valid configuration")
     }
 
     #[test]
@@ -512,37 +450,6 @@ mod tests {
             b.step_round();
         }
         assert_ne!(Snapshot::of(a.graph()), Snapshot::of(b.graph()));
-    }
-
-    #[test]
-    fn events_are_recorded_in_time_order_when_enabled() {
-        let mut m = model(20, 2, EdgePolicy::Regenerate, 8);
-        for _ in 0..60 {
-            m.step_round();
-        }
-        let events = m.drain_events();
-        assert!(!events.is_empty());
-        for w in events.windows(2) {
-            assert!(w[0].time() <= w[1].time());
-        }
-        assert!(events.iter().any(ModelEvent::is_churn));
-        assert!(events.iter().any(ModelEvent::is_topology));
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, ModelEvent::EdgeRegenerated { .. })),
-            "regeneration events must appear in SDGR"
-        );
-        assert!(m.drain_events().is_empty(), "drain empties the log");
-    }
-
-    #[test]
-    fn no_events_recorded_when_disabled() {
-        let mut m = StreamingModel::new(StreamingConfig::new(20, 2).seed(1)).unwrap();
-        for _ in 0..50 {
-            m.step_round();
-        }
-        assert!(m.drain_events().is_empty());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! samples through the member table, so no hash-map iteration order can leak
 //! into model evolution. These tests pin that property: two independent runs
 //! from the same configuration must produce identical churn summaries,
-//! flooding traces, event logs and final topologies — on every platform.
+//! flooding traces, change feeds and final topologies — on every platform.
 
 use churn_core::flooding::{run_flooding, FloodingConfig, FloodingRecord, FloodingSource};
 use churn_core::{ChurnSummary, DynamicNetwork, ModelKind, Snapshot};
+use churn_graph::GraphDelta;
 
 /// Advances a freshly built model for `units` time units, returning every
 /// per-unit churn summary plus the final snapshot.
@@ -63,35 +64,30 @@ fn same_seed_reproduces_identical_flooding_traces() {
 }
 
 #[test]
-fn same_seed_reproduces_identical_event_logs() {
+fn same_seed_reproduces_identical_graph_delta_windows() {
     for kind in ModelKind::ALL {
-        let run = |()| {
-            let mut model = match kind {
-                ModelKind::Sdg | ModelKind::Sdgr => churn_core::StreamingModel::new(
-                    churn_core::StreamingConfig::new(48, 3)
-                        .edge_policy(kind.edge_policy())
-                        .seed(11)
-                        .record_events(true),
-                )
-                .map(churn_core::AnyModel::Streaming)
-                .unwrap(),
-                ModelKind::Pdg | ModelKind::Pdgr => churn_core::PoissonModel::new(
-                    churn_core::PoissonConfig::with_expected_size(48, 3)
-                        .edge_policy(kind.edge_policy())
-                        .seed(11)
-                        .record_events(true),
-                )
-                .map(churn_core::AnyModel::Poisson)
-                .unwrap(),
-                ModelKind::Raes => unreachable!("ALL holds only the paper's four models"),
-            };
-            model.advance_time_units(150);
-            model.drain_events()
+        let run = || {
+            let mut model = kind.build(48, 3, 11).unwrap();
+            model.graph_mut().set_delta_recording(true);
+            let windows: Vec<GraphDelta> = (0..150)
+                .map(|_| {
+                    model.advance_time_unit();
+                    let mut delta = GraphDelta::new();
+                    model.graph_mut().take_delta_into(&mut delta);
+                    delta
+                })
+                .collect();
+            windows
         };
+        let windows = run();
+        assert!(
+            windows.iter().any(|delta| !delta.deaths.is_empty()),
+            "{kind}: the windows recorded deaths"
+        );
         assert_eq!(
-            run(()),
-            run(()),
-            "{kind}: recorded event logs must be identical across runs"
+            windows,
+            run(),
+            "{kind}: per-unit change feeds must be identical across runs"
         );
     }
 }

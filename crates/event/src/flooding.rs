@@ -8,17 +8,21 @@
 //! completion time in simulated units generally exceeds the synchronous
 //! round count (senders queue, stragglers arrive late).
 //!
-//! In the zero-latency / infinite-bandwidth limit on a static graph, the
-//! process collapses to breadth-first search and informs exactly the set the
-//! synchronous engine informs — the equivalence the test suite pins.
+//! One event loop, [`run_async_flooding_faulty`], serves every network. It
+//! runs over a [`FloodHost`]: the topology, the newest node and a one-unit
+//! churn step. Every [`DynamicNetwork`] is a host. [`StaticGraph`] wraps a
+//! bare [`DynamicGraph`] whose churn step does nothing — the harness of the
+//! sync-equivalence contract: in the zero-latency / infinite-bandwidth limit
+//! the process collapses to breadth-first search and informs exactly the set
+//! the synchronous engine informs, which the test suite pins.
 //!
 //! Churn plugs in as just another event stream: with
 //! [`AsyncFloodingConfig::churn`] enabled, a churn tick fires each unit of
-//! simulated time at `k + 0.5` and calls the model's own
-//! [`DynamicNetwork::advance_time_unit`] — which routes through the existing
-//! `churn_core::driver` hooks (streaming rounds or the Poisson jump chain).
-//! The half-unit offset keeps the synchronous convention that a round's
-//! deliveries land before the round's churn.
+//! simulated time at `k + 0.5` and calls [`FloodHost::churn_tick`] — for a
+//! model, its own [`DynamicNetwork::advance_time_unit`], which routes through
+//! the existing `churn_core::driver` hooks (streaming rounds or the Poisson
+//! jump chain). The half-unit offset keeps the synchronous convention that a
+//! round's deliveries land before the round's churn.
 
 use churn_core::flooding::TAG_NO_FORWARD;
 use churn_core::DynamicNetwork;
@@ -64,8 +68,71 @@ pub const TRACE_VOID: u16 = 10;
 pub enum AsyncSource {
     /// A specific alive node.
     Node(NodeId),
-    /// The most recently born alive node.
+    /// The most recently born alive node. If it has already died, the host
+    /// churns one unit at a time until a newborn survives (only hosts that
+    /// churn have one).
     Newest,
+}
+
+/// The network a flood runs over: its topology, its newest node and a
+/// one-unit churn step.
+///
+/// Every [`DynamicNetwork`] is a host; [`StaticGraph`] is the host without
+/// churn.
+pub trait FloodHost {
+    /// The topology at the current instant.
+    fn graph(&self) -> &DynamicGraph;
+
+    /// The most recently born alive node. When it has died, the host
+    /// advances one churn unit at a time until the newest node is alive —
+    /// the way the synchronous engine resolves its `Newest` source.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a host without churn, which has no newest node.
+    fn newest_node(&mut self) -> NodeId;
+
+    /// Advances the host one churn unit.
+    fn churn_tick(&mut self);
+}
+
+impl<N: DynamicNetwork> FloodHost for N {
+    fn graph(&self) -> &DynamicGraph {
+        DynamicNetwork::graph(self)
+    }
+
+    fn newest_node(&mut self) -> NodeId {
+        loop {
+            if let Some(id) = DynamicNetwork::newest_node(self) {
+                return id;
+            }
+            self.advance_time_unit();
+        }
+    }
+
+    fn churn_tick(&mut self) {
+        self.advance_time_unit();
+    }
+}
+
+/// A graph that never churns: its churn tick leaves the topology alone.
+///
+/// Ticks still fire when [`AsyncFloodingConfig::churn`] is set, so crash
+/// injection and the partition heal census run as on a model; with `churn`
+/// off the run is the sync-equivalence harness.
+#[derive(Debug, Clone, Copy)]
+pub struct StaticGraph<'g>(pub &'g DynamicGraph);
+
+impl FloodHost for StaticGraph<'_> {
+    fn graph(&self) -> &DynamicGraph {
+        self.0
+    }
+
+    fn newest_node(&mut self) -> NodeId {
+        panic!("a static graph has no newest node: start the flood at AsyncSource::Node")
+    }
+
+    fn churn_tick(&mut self) {}
 }
 
 /// Configuration of one asynchronous flooding run.
@@ -77,8 +144,9 @@ pub struct AsyncFloodingConfig {
     pub bandwidth: BandwidthModel,
     /// Simulated-time horizon: events after this instant are not processed.
     pub horizon: f64,
-    /// Advance the network one churn unit per unit of simulated time
-    /// (ticks at `k + 0.5`). Requires a finite horizon.
+    /// Schedule a churn tick per unit of simulated time (at `k + 0.5`); each
+    /// tick calls [`FloodHost::churn_tick`] and injects the plan's crashes.
+    /// Requires a finite horizon.
     pub churn: bool,
     /// Trace capture mode: off in production runs, [`TraceMode::Full`] for
     /// the determinism suite, [`TraceMode::Bins`] for the streaming series
@@ -173,7 +241,7 @@ enum Ev {
     AntiEntropy,
 }
 
-/// The flooding state shared by the churning and the static driver.
+/// The flooding state of one run.
 struct Engine<'p> {
     latency: LatencyModel,
     sched: Scheduler<Ev>,
@@ -486,43 +554,31 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// Runs asynchronous flooding over a dynamic network.
+/// Runs asynchronous flooding over a host under a fault plan.
 ///
-/// The network should be warm ([`DynamicNetwork::warm_up`]); the rumor
-/// starts at `source` at time 0. With churn enabled the model advances one
-/// unit per unit of simulated time through its own driver hooks. The run
-/// ends when the event queue drains or the horizon passes.
+/// The host should be warm ([`DynamicNetwork::warm_up`]); the rumor starts
+/// at `source` at time 0. With [`AsyncFloodingConfig::churn`] the host
+/// advances one unit per unit of simulated time. The run ends when the event
+/// queue drains or the horizon passes.
 ///
-/// Deterministic given `(net state, cfg, seed)`: the latency RNG is an
+/// The fault layer rides on the same loop: link faults and partitions gate
+/// each delivery, crashes are injected at churn ticks (a crashed node loses
+/// queued egress and rumor state, keeps its identity, and restarts after a
+/// drawn downtime), and — when the plan enables it — periodic anti-entropy
+/// pull rounds let the flood complete after a partition heals. Pass
+/// [`FaultPlan::none`] for a fault-free run: all fault randomness lives on a
+/// dedicated substream of `seed`, so an empty plan leaves the latency stream
+/// untouched.
+///
+/// Deterministic given `(host state, cfg, plan, seed)`: the latency RNG is an
 /// independent substream of `seed`, and the event order is total.
 ///
 /// # Panics
 ///
-/// Panics if the config is invalid or the source is not alive.
-pub fn run_async_flooding<N: DynamicNetwork>(
-    net: &mut N,
-    source: AsyncSource,
-    cfg: &AsyncFloodingConfig,
-    seed: u64,
-) -> AsyncFloodingRecord {
-    run_async_flooding_faulty(net, source, cfg, &FaultPlan::none(), seed)
-}
-
-/// Runs asynchronous flooding over a dynamic network under a fault plan.
-///
-/// Identical to [`run_async_flooding`] plus the fault layer: link faults
-/// and partitions gate each delivery, crashes are injected at churn ticks
-/// (a crashed node loses queued egress and rumor state, keeps its identity,
-/// and restarts after a drawn downtime), and — when the plan enables it —
-/// periodic anti-entropy pull rounds let the flood complete after a
-/// partition heals. All fault randomness lives on a dedicated substream of
-/// `seed`, so an empty plan is RNG-stream-identical to the plain engine.
-///
-/// # Panics
-///
-/// Panics if the config or the plan is invalid, or the source is not alive.
-pub fn run_async_flooding_faulty<N: DynamicNetwork>(
-    net: &mut N,
+/// Panics if the config or the plan is invalid, if the source is not alive,
+/// or if `source` is [`AsyncSource::Newest`] on a [`StaticGraph`].
+pub fn run_async_flooding_faulty<H: FloodHost>(
+    host: &mut H,
     source: AsyncSource,
     cfg: &AsyncFloodingConfig,
     plan: &FaultPlan,
@@ -532,16 +588,16 @@ pub fn run_async_flooding_faulty<N: DynamicNetwork>(
     plan.validate().expect("invalid fault plan");
     let source_id = match source {
         AsyncSource::Node(id) => id,
-        AsyncSource::Newest => net.newest_node().expect("network has a newest node"),
+        AsyncSource::Newest => host.newest_node(),
     };
-    let mut engine = Engine::new(cfg, plan, seed, net.alive_count() as f64);
-    let source_idx = net
+    let mut engine = Engine::new(cfg, plan, seed, host.graph().len() as f64);
+    let source_idx = host
         .graph()
         .dense_index_of(source_id)
         .expect("flooding source is alive");
     engine.sched.record(TRACE_INFORMED, source_id.raw());
-    engine.inform(net.graph(), source_idx, 0, 0.0);
-    engine.note_completion(net.alive_count(), 0.0);
+    engine.inform(host.graph(), source_idx, 0, 0.0);
+    engine.note_completion(host.graph().len(), 0.0);
     if cfg.churn && cfg.horizon >= 0.5 {
         engine.sched.schedule_at(0.5, Ev::ChurnTick);
     }
@@ -564,28 +620,29 @@ pub fn run_async_flooding_faulty<N: DynamicNetwork>(
                 departs,
                 hop,
             } => {
-                if engine.deliver(net.graph(), target, id, from, departs, hop, now) {
-                    engine.note_completion(net.alive_count(), now);
+                if engine.deliver(host.graph(), target, id, from, departs, hop, now) {
+                    engine.note_completion(host.graph().len(), now);
                 }
             }
             Ev::ChurnTick => {
-                net.advance_time_unit();
-                engine.revalidate(net.graph());
-                engine.sched.record(TRACE_CHURN, net.alive_count() as u64);
-                engine.heal_census(net.graph(), now);
-                engine.crash_sweep(net.graph(), now);
-                engine.note_completion(net.alive_count(), now);
+                host.churn_tick();
+                let graph = host.graph();
+                engine.revalidate(graph);
+                engine.sched.record(TRACE_CHURN, graph.len() as u64);
+                engine.heal_census(graph, now);
+                engine.crash_sweep(graph, now);
+                engine.note_completion(graph.len(), now);
                 engine.last_tick = now;
                 if now + 1.0 <= cfg.horizon {
                     engine.sched.schedule_at(now + 1.0, Ev::ChurnTick);
                 }
             }
             Ev::Restart { target, id } => {
-                engine.restart(net.graph(), target, id, now);
+                engine.restart(host.graph(), target, id, now);
             }
             Ev::AntiEntropy => {
                 if engine.completion_time.is_none() {
-                    engine.anti_entropy(net.graph(), now);
+                    engine.anti_entropy(host.graph(), now);
                     let interval = plan
                         .anti_entropy
                         .expect("anti-entropy event implies interval");
@@ -597,94 +654,7 @@ pub fn run_async_flooding_faulty<N: DynamicNetwork>(
         }
     }
     drop(event_loop);
-    let alive = net.alive_count();
-    engine.into_record(alive)
-}
-
-/// Runs asynchronous flooding over a static graph (no churn regardless of
-/// [`AsyncFloodingConfig::churn`]). This is the harness of the
-/// sync-equivalence contract: in the zero-latency / infinite-bandwidth
-/// limit the informed set equals the synchronous (BFS) set and the emergent
-/// rounds equal the synchronous flooding time.
-///
-/// # Panics
-///
-/// Panics if the config is invalid or `source` is not in the graph.
-pub fn run_async_flooding_static(
-    graph: &DynamicGraph,
-    source: NodeId,
-    cfg: &AsyncFloodingConfig,
-    seed: u64,
-) -> AsyncFloodingRecord {
-    run_async_flooding_static_faulty(graph, source, cfg, &FaultPlan::none(), seed)
-}
-
-/// Runs asynchronous flooding over a static graph under a fault plan.
-///
-/// Link faults, partitions and anti-entropy apply as in
-/// [`run_async_flooding_faulty`]; crash–restart is driven by churn ticks
-/// and therefore inert on static runs.
-///
-/// # Panics
-///
-/// Panics if the config or the plan is invalid, or `source` is not in the
-/// graph.
-pub fn run_async_flooding_static_faulty(
-    graph: &DynamicGraph,
-    source: NodeId,
-    cfg: &AsyncFloodingConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> AsyncFloodingRecord {
-    cfg.validate().expect("invalid async flooding config");
-    plan.validate().expect("invalid fault plan");
-    let mut engine = Engine::new(cfg, plan, seed, graph.len() as f64);
-    let source_idx = graph
-        .dense_index_of(source)
-        .expect("flooding source is in the graph");
-    engine.sched.record(TRACE_INFORMED, source.raw());
-    engine.inform(graph, source_idx, 0, 0.0);
-    engine.note_completion(graph.len(), 0.0);
-    if let Some(interval) = plan.anti_entropy {
-        if interval <= cfg.horizon {
-            engine.sched.schedule_at(interval, Ev::AntiEntropy);
-        }
-    }
-    let event_loop = tracing::span("event-loop");
-    while let Some(time) = engine.sched.peek_time() {
-        if time > cfg.horizon {
-            break;
-        }
-        let (now, event) = engine.sched.pop().expect("peeked event exists");
-        match event {
-            Ev::Deliver {
-                target,
-                id,
-                from,
-                departs,
-                hop,
-            } => {
-                if engine.deliver(graph, target, id, from, departs, hop, now) {
-                    engine.note_completion(graph.len(), now);
-                }
-            }
-            Ev::ChurnTick => unreachable!("static runs schedule no churn ticks"),
-            Ev::Restart { .. } => unreachable!("static runs inject no crashes"),
-            Ev::AntiEntropy => {
-                if engine.completion_time.is_none() {
-                    engine.anti_entropy(graph, now);
-                    let interval = plan
-                        .anti_entropy
-                        .expect("anti-entropy event implies interval");
-                    if now + interval <= cfg.horizon {
-                        engine.sched.schedule_at(now + interval, Ev::AntiEntropy);
-                    }
-                }
-            }
-        }
-    }
-    drop(event_loop);
-    engine.into_record(graph.len())
+    engine.into_record(host.graph().len())
 }
 
 #[cfg(test)]
@@ -692,6 +662,17 @@ mod tests {
     use super::*;
     use churn_graph::generators::d_out_random_graph;
     use churn_stochastic::rng::seeded_rng;
+
+    /// Floods a static graph from node 0.
+    fn flood_static(
+        graph: &DynamicGraph,
+        cfg: &AsyncFloodingConfig,
+        plan: &FaultPlan,
+        seed: u64,
+    ) -> AsyncFloodingRecord {
+        let source = AsyncSource::Node(NodeId::new(0));
+        run_async_flooding_faulty(&mut StaticGraph(graph), source, cfg, plan, seed)
+    }
 
     #[test]
     fn zero_latency_static_run_informs_the_whole_graph_at_time_zero() {
@@ -704,7 +685,7 @@ mod tests {
             churn: false,
             trace: TraceMode::Off,
         };
-        let record = run_async_flooding_static(&graph, NodeId::new(0), &cfg, 7);
+        let record = flood_static(&graph, &cfg, &FaultPlan::none(), 7);
         assert_eq!(record.stats.sim_time, 0.0);
         assert!(record.informed >= 1);
         assert_eq!(record.completion_time.is_some(), record.complete);
@@ -734,7 +715,7 @@ mod tests {
             churn: false,
             trace: TraceMode::Off,
         };
-        let record = run_async_flooding_static(&graph, NodeId::new(0), &cfg, 1);
+        let record = flood_static(&graph, &cfg, &FaultPlan::none(), 1);
         assert!(record.complete);
         assert_eq!(record.emergent_rounds, 3);
         assert_eq!(record.completion_time, Some(3.0));
@@ -753,7 +734,7 @@ mod tests {
         };
         let mut plan = FaultPlan::none();
         plan.loss = crate::faults::LossModel::Iid { p: 1.0 };
-        let record = run_async_flooding_static_faulty(&graph, NodeId::new(0), &cfg, &plan, 7);
+        let record = flood_static(&graph, &cfg, &plan, 7);
         assert_eq!(record.informed, 1, "every copy dies on the wire");
         assert_eq!(record.stats.messages_fault_lost, record.stats.messages_sent);
         assert_eq!(record.stats.messages_delivered, 0);
@@ -772,10 +753,10 @@ mod tests {
             churn: false,
             trace: TraceMode::Off,
         };
-        let baseline = run_async_flooding_static(&graph, NodeId::new(0), &cfg, 7);
+        let baseline = flood_static(&graph, &cfg, &FaultPlan::none(), 7);
         let mut plan = FaultPlan::none();
         plan.duplicate_p = 1.0;
-        let doubled = run_async_flooding_static_faulty(&graph, NodeId::new(0), &cfg, &plan, 7);
+        let doubled = flood_static(&graph, &cfg, &plan, 7);
         assert_eq!(
             doubled.stats.messages_duplicated,
             doubled.stats.messages_sent
@@ -806,7 +787,7 @@ mod tests {
             blocks: 2,
         });
         plan.anti_entropy = Some(1.0);
-        let record = run_async_flooding_static_faulty(&graph, NodeId::new(0), &cfg, &plan, 7);
+        let record = flood_static(&graph, &cfg, &plan, 7);
         assert!(record.complete, "anti-entropy completes the flood");
         let done = record.completion_time.expect("complete run has a time");
         assert!(
@@ -838,12 +819,46 @@ mod tests {
             churn: false,
             trace: TraceMode::Off,
         };
-        let record = run_async_flooding_static(&graph, NodeId::new(0), &cfg, 1);
+        let record = flood_static(&graph, &cfg, &FaultPlan::none(), 1);
         assert!(record.complete);
         // Four sends at one per unit: departures 1..4, each +0.25 latency.
         assert_eq!(record.completion_time, Some(4.25));
         assert_eq!(record.stats.peak_backlog, 4);
         assert!(record.stats.mean_queue_delay() > 1.0);
         assert_eq!(record.stats.p99_queue_delay(), 4.0);
+    }
+
+    #[test]
+    fn newest_source_waits_for_a_live_newborn_when_the_newest_node_died() {
+        // A warm PDGR model whose newest node died during warm-up.
+        let mut model = churn_core::ModelKind::Pdgr
+            .build(64, 4, 114)
+            .expect("valid model");
+        model.warm_up();
+        assert_eq!(DynamicNetwork::newest_node(&model), None);
+        let before = model.time();
+        let cfg = AsyncFloodingConfig::new(LatencyModel::Fixed(0.5), BandwidthModel::unlimited());
+        let cfg = AsyncFloodingConfig {
+            horizon: 16.0,
+            ..cfg
+        };
+        let record =
+            run_async_flooding_faulty(&mut model, AsyncSource::Newest, &cfg, &FaultPlan::none(), 3);
+        assert!(model.time() > before + 16.0, "churned before the flood");
+        assert!(record.stats.messages_sent > 0, "the newborn forwarded");
+    }
+
+    #[test]
+    #[should_panic(expected = "a static graph has no newest node")]
+    fn newest_source_is_rejected_on_a_static_graph() {
+        let graph = d_out_random_graph(8, 2, &mut seeded_rng(1));
+        let cfg = AsyncFloodingConfig::new(LatencyModel::Fixed(0.5), BandwidthModel::unlimited());
+        run_async_flooding_faulty(
+            &mut StaticGraph(&graph),
+            AsyncSource::Newest,
+            &cfg,
+            &FaultPlan::none(),
+            1,
+        );
     }
 }

@@ -46,9 +46,9 @@
 //!   delivery time, and node crash–restart — all on a dedicated RNG
 //!   substream, so an empty plan is stream-identical to no fault layer.
 //! * [`flooding`] — asynchronous flooding: a node forwards when a message
-//!   *arrives*; works over any [`churn_core::DynamicNetwork`] (churn ticks
-//!   plug in through the model's own driver hooks) or over a static
-//!   [`churn_graph::DynamicGraph`].
+//!   *arrives*; one event loop over a [`FloodHost`] — any
+//!   [`churn_core::DynamicNetwork`] (churn ticks plug in through the model's
+//!   own driver hooks) or a [`StaticGraph`].
 //! * [`raes`] — asynchronous RAES repair: repair requests and accepts are
 //!   messages that share the egress queues with flood traffic, so the run
 //!   answers "does repair keep up under load?".
@@ -68,13 +68,11 @@ pub mod trace;
 pub use bandwidth::{BandwidthModel, EgressQueues, Enqueue, OverflowPolicy};
 pub use faults::{CrashRestart, FaultPlan, FaultState, LossModel, PartitionWindow};
 pub use flooding::{
-    run_async_flooding, run_async_flooding_faulty, run_async_flooding_static,
-    run_async_flooding_static_faulty, AsyncFloodingConfig, AsyncFloodingRecord, AsyncSource,
+    run_async_flooding_faulty, AsyncFloodingConfig, AsyncFloodingRecord, AsyncSource, FloodHost,
+    StaticGraph,
 };
 pub use latency::LatencyModel;
-pub use raes::{
-    run_async_raes, run_async_raes_faulty, AsyncRaesConfig, AsyncRaesRecord, FloodSummary,
-};
+pub use raes::{run_async_raes_faulty, AsyncRaesConfig, AsyncRaesRecord, FloodSummary};
 pub use sched::{Scheduler, TraceEvent};
 pub use stats::EventStats;
 pub use trace::{TraceBins, TraceMode};

@@ -1040,28 +1040,19 @@ impl<'p> Raes<'p> {
     }
 }
 
-/// Runs one asynchronous RAES load experiment. Deterministic given
-/// `(cfg, seed)`.
-///
-/// # Panics
-///
-/// Panics if the config is invalid.
-#[must_use]
-pub fn run_async_raes(cfg: &AsyncRaesConfig, seed: u64) -> AsyncRaesRecord {
-    run_async_raes_faulty(cfg, &FaultPlan::none(), seed)
-}
-
 /// Runs one asynchronous RAES load experiment under a fault plan.
+/// Deterministic given `(cfg, plan, seed)`.
 ///
-/// Identical to [`run_async_raes`] plus the fault layer: link faults and
+/// The fault layer rides on the repair loop: link faults and
 /// partitions gate both repair legs and the flood; crashes at churn ticks
 /// wipe a victim's queued egress, pending repairs and flood mark (identity
 /// kept), and its restart rescans the out-slots to re-trigger repair. The
 /// retry policy (exponential backoff, jitter, bounded budget) lives on the
 /// config; with an exhausted budget the repair is shed and counted, so the
 /// run terminates either by completion or by recorded degradation — never
-/// by wedging. All fault randomness is a dedicated substream of `seed`, so
-/// an empty plan is RNG-stream-identical to the plain engine.
+/// by wedging. Pass [`FaultPlan::none`] for a fault-free run: all fault
+/// randomness is a dedicated substream of `seed`, so an empty plan leaves
+/// the repair trajectory untouched.
 ///
 /// # Panics
 ///
@@ -1096,7 +1087,7 @@ mod tests {
 
     #[test]
     fn repairs_keep_the_network_wired_under_light_load() {
-        let record = run_async_raes(&quick_cfg(), 11);
+        let record = run_async_raes_faulty(&quick_cfg(), &FaultPlan::none(), 11);
         assert_eq!(record.alive, 48);
         assert!(record.repairs_completed > 0);
         assert!(
@@ -1173,7 +1164,7 @@ mod tests {
             low: 0.1,
             high: 2.0,
         };
-        let record = run_async_raes(&cfg, 5);
+        let record = run_async_raes_faulty(&cfg, &FaultPlan::none(), 5);
         assert!(record.max_in_degree <= record.in_degree_cap);
         assert!(record.rejections > 0);
     }

@@ -8,15 +8,15 @@
 //!    engine (breadth-first search): same informed set bit for bit, same
 //!    round structure.
 
-use churn_core::DynamicNetwork;
+use churn_core::{DynamicNetwork, EdgePolicy, StreamingConfig, StreamingModel};
 use churn_event::{
-    run_async_flooding, run_async_flooding_static, run_async_flooding_static_faulty,
-    run_async_raes, AsyncFloodingConfig, AsyncRaesConfig, AsyncSource, BandwidthModel, FaultPlan,
-    LatencyModel, Scheduler, TraceMode,
+    run_async_flooding_faulty, run_async_raes_faulty, AsyncFloodingConfig, AsyncFloodingRecord,
+    AsyncRaesConfig, AsyncSource, BandwidthModel, FaultPlan, LatencyModel, PartitionWindow,
+    Scheduler, StaticGraph, TraceMode,
 };
 use churn_graph::generators::d_out_random_graph;
 use churn_graph::traversal::{bfs_distances, static_flooding_time};
-use churn_graph::{NodeId, Snapshot};
+use churn_graph::{DynamicGraph, NodeId, Snapshot};
 use churn_protocol::{RaesConfig, RaesModel};
 use churn_stochastic::rng::seeded_rng;
 use proptest::prelude::*;
@@ -32,7 +32,24 @@ fn bandwidth_grid() -> [BandwidthModel; 4] {
     ]
 }
 
-fn traced_flooding(bandwidth: BandwidthModel, seed: u64) -> churn_event::AsyncFloodingRecord {
+/// Floods a static graph from `source`.
+fn flood_static(
+    graph: &DynamicGraph,
+    source: NodeId,
+    cfg: &AsyncFloodingConfig,
+    plan: &FaultPlan,
+    seed: u64,
+) -> AsyncFloodingRecord {
+    run_async_flooding_faulty(
+        &mut StaticGraph(graph),
+        AsyncSource::Node(source),
+        cfg,
+        plan,
+        seed,
+    )
+}
+
+fn traced_flooding(bandwidth: BandwidthModel, seed: u64) -> AsyncFloodingRecord {
     let mut model = RaesModel::new(RaesConfig::new(64, 3).seed(99)).expect("valid RAES config");
     model.warm_up();
     let cfg = AsyncFloodingConfig {
@@ -42,7 +59,13 @@ fn traced_flooding(bandwidth: BandwidthModel, seed: u64) -> churn_event::AsyncFl
         churn: true,
         trace: TraceMode::Full,
     };
-    run_async_flooding(&mut model, AsyncSource::Newest, &cfg, seed)
+    run_async_flooding_faulty(
+        &mut model,
+        AsyncSource::Newest,
+        &cfg,
+        &FaultPlan::none(),
+        seed,
+    )
 }
 
 #[test]
@@ -86,8 +109,8 @@ fn same_seed_gives_identical_raes_traces_at_every_queue_capacity() {
                 bandwidth,
             )
         };
-        let a = run_async_raes(&cfg, 13);
-        let b = run_async_raes(&cfg, 13);
+        let a = run_async_raes_faulty(&cfg, &FaultPlan::none(), 13);
+        let b = run_async_raes_faulty(&cfg, &FaultPlan::none(), 13);
         assert!(
             !a.trace.is_empty(),
             "trace was recorded ({})",
@@ -101,6 +124,57 @@ fn same_seed_gives_identical_raes_traces_at_every_queue_capacity() {
         assert_eq!(a.mean_repair_time.to_bits(), b.mean_repair_time.to_bits());
         assert_eq!(a.stats.events_processed, b.stats.events_processed);
     }
+}
+
+/// The one event loop serves a model and a static graph identically: with
+/// churn off, a warm SDGR model and a clone of its graph give the same
+/// trace, statistics and informed set under a plan that exercises every
+/// fault gate the loop runs without churn ticks.
+#[test]
+fn static_graph_and_model_hosts_run_the_same_loop() {
+    let mut model = StreamingModel::new(
+        StreamingConfig::new(128, 4)
+            .edge_policy(EdgePolicy::Regenerate)
+            .seed(21),
+    )
+    .expect("valid SDGR config");
+    model.warm_up();
+    let clone = model.graph().clone();
+    let source = AsyncSource::Node(model.newest_node().expect("streaming newest is alive"));
+    let cfg = AsyncFloodingConfig {
+        latency: LatencyModel::Exponential { mean: 0.5 },
+        bandwidth: BandwidthModel::delaying(4.0),
+        horizon: 64.0,
+        churn: false,
+        trace: TraceMode::Full,
+    };
+    let plan = FaultPlan {
+        duplicate_p: 0.2,
+        reorder_p: 0.3,
+        reorder_max: 1.5,
+        partitions: vec![PartitionWindow {
+            start: 1.0,
+            heal: 6.0,
+            blocks: 2,
+        }],
+        anti_entropy: Some(2.0),
+        ..FaultPlan::none()
+    };
+    let on_graph = run_async_flooding_faulty(&mut StaticGraph(&clone), source, &cfg, &plan, 5);
+    let on_model = run_async_flooding_faulty(&mut model, source, &cfg, &plan, 5);
+    assert!(on_graph.stats.messages_duplicated > 0, "duplication fired");
+    assert!(on_graph.stats.messages_reordered > 0, "reordering fired");
+    assert!(
+        on_graph.stats.messages_blocked > 0,
+        "the partition cut links"
+    );
+    assert!(on_graph.stats.anti_entropy_pulls > 0, "anti-entropy pulled");
+    assert_eq!(on_graph.trace, on_model.trace);
+    assert_eq!(
+        format!("{:?}", on_graph.stats),
+        format!("{:?}", on_model.stats)
+    );
+    assert_eq!(on_graph.informed_ids(), on_model.informed_ids());
 }
 
 proptest! {
@@ -152,7 +226,7 @@ fn zero_latency_infinite_bandwidth_matches_the_synchronous_engine_bit_for_bit() 
         churn: false,
         trace: TraceMode::Off,
     };
-    let record = run_async_flooding_static(&graph, source, &cfg, 123);
+    let record = flood_static(&graph, source, &cfg, &FaultPlan::none(), 123);
 
     assert_eq!(record.informed_ids(), sync_informed.as_slice());
     assert_eq!(record.informed, sync_informed.len());
@@ -183,7 +257,7 @@ fn unit_latency_emergent_rounds_equal_the_synchronous_flooding_time() {
         churn: false,
         trace: TraceMode::Off,
     };
-    let record = run_async_flooding_static(&graph, source, &cfg, 123);
+    let record = flood_static(&graph, source, &cfg, &FaultPlan::none(), 123);
     assert!(record.complete);
     assert_eq!(record.emergent_rounds, sync_rounds);
     assert_eq!(record.completion_time, Some(f64::from(sync_rounds)));
@@ -209,7 +283,7 @@ fn queueing_and_latency_stretch_completion_beyond_the_synchronous_rounds() {
         churn: false,
         trace: TraceMode::Off,
     };
-    let record = run_async_flooding_static(&graph, source, &cfg, 123);
+    let record = flood_static(&graph, source, &cfg, &FaultPlan::none(), 123);
     assert!(record.complete);
     let completion = record
         .completion_time
@@ -263,7 +337,7 @@ proptest! {
             reorder_max,
             ..FaultPlan::none()
         };
-        let record = run_async_flooding_static_faulty(&graph, source, &cfg, &plan, seed);
+        let record = flood_static(&graph, source, &cfg, &plan, seed);
         prop_assert_eq!(record.informed_ids(), reachable.as_slice());
         prop_assert_eq!(record.stats.messages_fault_lost, 0);
         prop_assert_eq!(record.stats.messages_blocked, 0);

@@ -17,7 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use churn_event::{
-    run_async_raes, AsyncRaesConfig, AsyncRaesRecord, BandwidthModel, LatencyModel, TraceMode,
+    run_async_raes_faulty, AsyncRaesConfig, AsyncRaesRecord, BandwidthModel, FaultPlan,
+    LatencyModel, TraceMode,
 };
 
 /// Live (allocated minus freed) bytes and the high-water mark.
@@ -65,7 +66,7 @@ fn traced_run(trace: TraceMode) -> (AsyncRaesRecord, usize) {
     };
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let record = run_async_raes(&cfg, 7);
+    let record = run_async_raes_faulty(&cfg, &FaultPlan::none(), 7);
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
     (record, peak)
 }

@@ -146,18 +146,14 @@ pub struct EdgeSlot {
 
 /// Summary of a node removal, returned by [`DynamicGraph::remove_node`].
 ///
-/// The churn models need two pieces of information when a node dies:
-///
-/// * which of the dead node's own requests were connected (for bookkeeping), and
-/// * which out-slots of *surviving* nodes just lost their target — these are the
-///   slots that the edge-regeneration rule (models SDGR and PDGR) must re-point
-///   to fresh uniform targets.
+/// The churn models need to know which out-slots of *surviving* nodes just
+/// lost their target when a node dies — these are the slots that the
+/// edge-regeneration rule (models SDGR and PDGR) must re-point to fresh
+/// uniform targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovedNode {
     /// Identifier of the removed node.
     pub id: NodeId,
-    /// Targets the removed node's own out-slots were connected to.
-    pub out_targets: Vec<NodeId>,
     /// Out-slots of surviving nodes that pointed at the removed node and are now
     /// empty. Sorted by `(owner, slot)` for determinism.
     pub dangling_slots: Vec<EdgeSlot>,
@@ -173,7 +169,6 @@ impl Default for RemovedNode {
     fn default() -> Self {
         RemovedNode {
             id: NodeId::new(u64::MAX),
-            out_targets: Vec::new(),
             dangling_slots: Vec::new(),
             dangling_dense: Vec::new(),
         }
@@ -1411,7 +1406,6 @@ impl DynamicGraph {
     /// left cleared in that case.
     pub fn remove_node_into(&mut self, idx: u32, out: &mut RemovedNode) -> Result<()> {
         out.id = NodeId::new(u64::MAX);
-        out.out_targets.clear();
         out.dangling_slots.clear();
         out.dangling_dense.clear();
 
@@ -1462,7 +1456,6 @@ impl DynamicGraph {
 
         // The dead node's own requests: drop the in-references they created.
         for target in record.out_slots.iter().filter(|&t| t != NO_TARGET) {
-            out.out_targets.push(self.record(target).id);
             self.filled_slots -= 1;
             Self::dec_in_ref_list(&mut self.record_mut(target).in_refs, idx);
         }
@@ -1892,7 +1885,6 @@ mod tests {
 
         let removed = g.remove_node(id(0)).unwrap();
         assert_eq!(removed.id, id(0));
-        assert_eq!(removed.out_targets, vec![id(1)]);
         assert_eq!(
             removed.dangling_slots,
             vec![

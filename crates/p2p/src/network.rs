@@ -5,9 +5,7 @@ use std::collections::HashMap;
 use rand::Rng;
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost};
-use churn_core::{
-    AliveSet, ChurnSummary, DynamicNetwork, EdgePolicy, ModelEvent, ModelKind, NodeId, Result,
-};
+use churn_core::{AliveSet, ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, NodeId, Result};
 use churn_graph::{DynamicGraph, NodeIdAllocator};
 use churn_stochastic::process::{BirthDeathChain, Jump};
 use churn_stochastic::rng::{seeded_rng, SimRng};
@@ -407,10 +405,6 @@ impl DynamicNetwork for P2pNetwork {
     fn is_warm(&self) -> bool {
         self.time >= 3.0 * self.config.expected_peers as f64
     }
-
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
@@ -533,7 +527,6 @@ mod tests {
         let summary = net.advance_time_unit();
         assert!((net.time() - before - 1.0).abs() < 1e-9);
         let _ = summary;
-        assert!(net.drain_events().is_empty());
         if let Some(newest) = net.newest_node() {
             assert!(net.contains(newest));
             assert!(net.birth_time(newest).is_some());

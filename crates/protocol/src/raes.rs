@@ -9,7 +9,7 @@ use churn_stochastic::rng::{derive_seed, seeded_rng, SimRng};
 use serde::{Deserialize, Serialize};
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost, VictimPolicy};
-use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, ModelEvent, ModelKind, Result};
+use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, Result};
 
 use crate::{AdversaryModel, Behavior, ChurnDriver, RaesConfig, SaturationPolicy};
 
@@ -958,12 +958,6 @@ impl DynamicNetwork for RaesModel {
             ChurnDriver::Poisson => self.time >= 3.0 * self.config.n as f64,
         }
     }
-
-    /// RAES has no event recording; the protocol counters in
-    /// [`RaesModel::stats`] are the instrumentation surface.
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
@@ -1285,7 +1279,6 @@ mod tests {
         assert_eq!(m.degree_parameter(), 3);
         assert_eq!(m.expected_size(), 30);
         assert!(m.edge_policy().regenerates());
-        assert!(m.drain_events().is_empty());
         m.warm_up();
         let newest = m.newest_node().unwrap();
         assert_eq!(m.age(newest), Some(0.0));

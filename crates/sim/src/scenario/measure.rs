@@ -11,7 +11,7 @@ use churn_core::flooding::{
     run_flooding, run_flooding_parallel_observed, FloodingConfig, FloodingRecord, FloodingSource,
 };
 use churn_core::onion_skin::run_onion_skin;
-use churn_core::{theory, ChurnSummary, DynamicNetwork, ModelEvent, ModelKind};
+use churn_core::{theory, ChurnSummary, DynamicNetwork, ModelKind};
 use churn_graph::expansion::ExpansionConfig;
 use churn_graph::generators::d_out_random_graph;
 use churn_graph::traversal::{connected_components, static_flooding_time};
@@ -121,10 +121,6 @@ impl DynamicNetwork for AnyNet {
 
     fn is_warm(&self) -> bool {
         delegate!(self, m => m.is_warm())
-    }
-
-    fn drain_events(&mut self) -> Vec<ModelEvent> {
-        delegate!(self, m => m.drain_events())
     }
 }
 
@@ -1065,7 +1061,7 @@ fn p2p_cell(cell: &CellSpec, seed: u64, blocks: usize) -> Metrics {
 
 #[cfg(test)]
 mod tests {
-    use churn_event::{run_async_flooding, run_async_raes, TraceEvent};
+    use churn_event::{FaultPlan, TraceEvent};
 
     use super::*;
 
@@ -1132,7 +1128,13 @@ mod tests {
                 trace,
             };
             (
-                run_async_flooding(&mut model, AsyncSource::Newest, &cfg, 7),
+                run_async_flooding_faulty(
+                    &mut model,
+                    AsyncSource::Newest,
+                    &cfg,
+                    &FaultPlan::none(),
+                    7,
+                ),
                 initial_alive,
             )
         };
@@ -1189,7 +1191,7 @@ mod tests {
                     churn_event::BandwidthModel::delaying(8.0),
                 )
             };
-            run_async_raes(&cfg, 13)
+            run_async_raes_faulty(&cfg, &FaultPlan::none(), 13)
         };
         let full = run(TraceMode::Full);
         let binned = run(TraceMode::Bins);
