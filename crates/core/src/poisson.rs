@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use churn_graph::hashing::IdHashMap;
 use churn_graph::{DynamicGraph, NodeId, NodeIdAllocator, RemovedNode};
 use churn_stochastic::process::{BirthDeathChain, Jump, JumpKind};
 use churn_stochastic::rng::{seeded_rng, SimRng};
@@ -65,12 +64,17 @@ pub struct PoissonModel {
     chain: BirthDeathChain,
     time: f64,
     jumps: u64,
-    birth_time: IdHashMap<NodeId, f64>,
+    /// Birth time of each slab cell's current occupant, indexed by dense
+    /// index. Written on spawn; a vacated cell keeps its stale value until
+    /// the next occupant overwrites it, and is never read in between
+    /// ([`DynamicNetwork::birth_time`] resolves only alive identifiers).
+    birth_time: Vec<f64>,
     alloc: NodeIdAllocator,
     newest: Option<NodeId>,
-    /// Reused buffers: the removal report and the batch of sampled targets.
-    /// Steady-state jumps allocate nothing.
+    /// Reused buffers: the removal report, the batch of regenerating owners
+    /// and the batch of sampled targets. Steady-state jumps allocate nothing.
     removal_scratch: RemovedNode,
+    owner_scratch: Vec<u32>,
     sample_scratch: Vec<u32>,
     /// Birth-order queue (front = oldest), maintained only under
     /// [`VictimPolicy::OldestFirst`] and compacted lazily by the shared
@@ -102,10 +106,11 @@ impl PoissonModel {
             chain,
             time: 0.0,
             jumps: 0,
-            birth_time: IdHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            birth_time: Vec::with_capacity(capacity),
             alloc: NodeIdAllocator::new(),
             newest: None,
             removal_scratch: RemovedNode::default(),
+            owner_scratch: Vec::new(),
             sample_scratch: Vec::new(),
             order: VecDeque::new(),
             config,
@@ -228,8 +233,8 @@ impl PoissonModel {
             .expect("allocator never reuses identifiers");
         // d uniform requests among the pre-existing nodes: the newborn is
         // already registered in the member list, so exclude it by index.
-        // Targets are drawn in a batch before any record is touched so the
-        // per-target cache misses overlap.
+        // The batch call gathers every target's cell after drawing, so the
+        // writes below hit cache.
         self.sample_scratch.clear();
         self.graph
             .sample_members_excluding_into(&mut self.rng, idx, d, &mut self.sample_scratch);
@@ -239,7 +244,9 @@ impl PoissonModel {
                 .set_out_slot_at(idx, slot, target_idx)
                 .expect("valid request");
         }
-        self.birth_time.insert(id, time);
+        // The slab grows one cell at a time, so this is a no-op or a push.
+        self.birth_time.resize(self.graph.slab_len(), f64::NAN);
+        self.birth_time[idx as usize] = time;
         self.newest = Some(id);
         if self.config.victim_policy == VictimPolicy::OldestFirst {
             self.order.push_back((id, idx));
@@ -248,7 +255,6 @@ impl PoissonModel {
     }
 
     fn kill_node(&mut self, victim: NodeId, victim_idx: u32) {
-        self.birth_time.remove(&victim);
         if self.newest == Some(victim) {
             self.newest = None;
         }
@@ -257,27 +263,13 @@ impl PoissonModel {
             .remove_node_into(victim_idx, &mut removed)
             .expect("sampled victim is alive");
         if self.config.edge_policy.regenerates() {
-            // dangling_dense is aligned with dangling_slots and sorted by
-            // (owner id, slot), so the regeneration draw order is
-            // deterministic. Replacement targets are drawn in a batch first,
-            // letting the per-owner record touches overlap.
-            self.sample_scratch.clear();
-            for &(owner_idx, _) in &removed.dangling_dense {
-                match self.graph.sample_member_excluding(&mut self.rng, owner_idx) {
-                    Some(target_idx) => self.sample_scratch.push(target_idx),
-                    None => self.sample_scratch.push(u32::MAX),
-                }
-            }
-            for (&(owner_idx, slot_pos), &target_idx) in
-                removed.dangling_dense.iter().zip(&self.sample_scratch)
-            {
-                if target_idx == u32::MAX {
-                    continue;
-                }
-                self.graph
-                    .set_out_slot_at(owner_idx, slot_pos, target_idx)
-                    .expect("owner alive, slot in range, target distinct");
-            }
+            driver::regenerate(
+                &mut self.graph,
+                &mut self.rng,
+                &removed,
+                &mut self.owner_scratch,
+                &mut self.sample_scratch,
+            );
         }
         self.removal_scratch = removed;
     }
@@ -341,7 +333,9 @@ impl DynamicNetwork for PoissonModel {
     }
 
     fn birth_time(&self, id: NodeId) -> Option<f64> {
-        self.birth_time.get(&id).copied()
+        self.graph
+            .dense_index_of(id)
+            .map(|idx| self.birth_time[idx as usize])
     }
 
     fn newest_node(&self) -> Option<NodeId> {

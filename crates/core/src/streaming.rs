@@ -50,9 +50,11 @@ pub struct StreamingModel {
     /// expiring node can be removed without an identifier lookup.
     order: VecDeque<(NodeId, u32)>,
     alloc: NodeIdAllocator,
-    /// Reused buffers: the removal report and the batch of sampled targets.
-    /// Steady-state rounds allocate nothing.
+    /// Reused buffers: the removal report, the batch of regenerating owners
+    /// and the batch of sampled targets. Steady-state rounds allocate
+    /// nothing.
     removal_scratch: RemovedNode,
+    owner_scratch: Vec<u32>,
     sample_scratch: Vec<u32>,
 }
 
@@ -72,6 +74,7 @@ impl StreamingModel {
             order: VecDeque::with_capacity(config.n + 1),
             alloc: NodeIdAllocator::new(),
             removal_scratch: RemovedNode::default(),
+            owner_scratch: Vec::new(),
             sample_scratch: Vec::new(),
             config,
         })
@@ -128,20 +131,22 @@ impl StreamingModel {
     /// [`driver::streaming_round`] loop; this model contributes only its
     /// spawn/kill hooks.
     pub fn step_round(&mut self) -> ChurnSummary {
-        self.round += 1;
         let mut summary = ChurnSummary::new();
+        self.step_round_into(&mut summary);
+        summary
+    }
+
+    /// [`Self::step_round`] into a caller-owned summary (cleared first), so
+    /// the warm-up's `2n` rounds reuse one buffer instead of allocating two
+    /// vectors per round.
+    fn step_round_into(&mut self, summary: &mut ChurnSummary) {
+        summary.clear();
+        self.round += 1;
         // Detach the queue so the driver can mutate it alongside the hooks
         // (a move of the VecDeque header, no allocation).
         let mut order = std::mem::take(&mut self.order);
-        driver::streaming_round(
-            self,
-            &mut order,
-            self.config.n,
-            self.round as f64,
-            &mut summary,
-        );
+        driver::streaming_round(self, &mut order, self.config.n, self.round as f64, summary);
         self.order = order;
-        summary
     }
 
     fn spawn_node(&mut self) -> (NodeId, u32) {
@@ -153,8 +158,8 @@ impl StreamingModel {
             .expect("allocator never reuses identifiers");
         // d independent uniform requests among the nodes already in the
         // network (the newborn itself is excluded by index, an O(1) slab
-        // draw). Targets are drawn in a batch before any record is touched so
-        // the per-target cache misses overlap.
+        // draw). The batch call gathers every target's cell after drawing,
+        // so the writes below hit cache.
         self.sample_scratch.clear();
         self.graph
             .sample_members_excluding_into(&mut self.rng, idx, d, &mut self.sample_scratch);
@@ -174,28 +179,13 @@ impl StreamingModel {
             .remove_node_into(victim_idx, &mut removed)
             .expect("victim from the order queue is alive");
         if self.config.edge_policy.regenerates() {
-            // dangling_dense is aligned with dangling_slots and sorted by
-            // (owner id, slot), so the regeneration draw order is
-            // deterministic. Replacement targets are drawn in a batch first
-            // (the draws do not depend on the re-pointing), letting the
-            // per-owner record touches overlap.
-            self.sample_scratch.clear();
-            for &(owner_idx, _) in &removed.dangling_dense {
-                match self.graph.sample_member_excluding(&mut self.rng, owner_idx) {
-                    Some(target_idx) => self.sample_scratch.push(target_idx),
-                    None => self.sample_scratch.push(u32::MAX),
-                }
-            }
-            for (&(owner_idx, slot_pos), &target_idx) in
-                removed.dangling_dense.iter().zip(&self.sample_scratch)
-            {
-                if target_idx == u32::MAX {
-                    continue;
-                }
-                self.graph
-                    .set_out_slot_at(owner_idx, slot_pos, target_idx)
-                    .expect("owner alive, slot in range, target distinct");
-            }
+            driver::regenerate(
+                &mut self.graph,
+                &mut self.rng,
+                &removed,
+                &mut self.owner_scratch,
+                &mut self.sample_scratch,
+            );
         }
         self.removal_scratch = removed;
     }
@@ -261,8 +251,9 @@ impl DynamicNetwork for StreamingModel {
     }
 
     fn warm_up(&mut self) {
+        let mut summary = ChurnSummary::new();
         while !self.is_warm() {
-            self.step_round();
+            self.step_round_into(&mut summary);
         }
     }
 

@@ -20,6 +20,7 @@
 //! [`DynamicGraph::id_at`] (this is what the flooding bitset does after every
 //! churn interval).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -221,6 +222,12 @@ impl<const N: usize> MiniVec<N> {
         self.len == 0
     }
 
+    /// The elements stored inline (all of them unless the vector spilled).
+    #[inline]
+    fn inline_slice(&self) -> &[u32] {
+        &self.inline[..self.len().min(N)]
+    }
+
     fn spill_slice(&self) -> &[u32] {
         self.spill.as_ref().map_or(&[], |boxed| boxed.as_slice())
     }
@@ -289,7 +296,7 @@ impl<const N: usize> MiniVec<N> {
     }
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.inline[..self.len().min(N)]
+        self.inline_slice()
             .iter()
             .chain(self.spill_slice())
             .copied()
@@ -918,10 +925,11 @@ impl DynamicGraph {
 
     /// Draws `count` independent uniform alive indices, each different from
     /// `exclude`, appending them to `out`. Equivalent to `count` calls to
-    /// [`Self::sample_member_excluding`], but keeps the random-number /
-    /// member-table phase separate from whatever record work the caller does
-    /// next, which lets the out-of-order core overlap the cache misses of the
-    /// subsequent per-target touches.
+    /// [`Self::sample_member_excluding`] (same draws, same order). After the
+    /// draws, one gather pass loads every sampled cell with independent
+    /// reads, so their cache misses are in flight together; the caller's
+    /// writes to those cells (e.g. [`Self::set_out_slot_at`]) then hit cache
+    /// instead of missing one after another.
     ///
     /// Stops early (appending fewer than `count`) when no valid target exists.
     pub fn sample_members_excluding_into<R: rand::Rng + ?Sized>(
@@ -931,12 +939,14 @@ impl DynamicGraph {
         count: usize,
         out: &mut Vec<u32>,
     ) {
+        let start = out.len();
         for _ in 0..count {
             match self.sample_member_excluding(rng, exclude) {
                 Some(idx) => out.push(idx),
                 None => break,
             }
         }
+        self.gather(&out[start..]);
     }
 
     /// Bulk variant of [`Self::sample_member_excluding`] with a *per-entry*
@@ -951,14 +961,17 @@ impl DynamicGraph {
     /// order** to per-entry [`Self::sample_member_excluding`] calls over the
     /// non-skipped entries — so folding a per-request loop into one bulk call
     /// (the RAES repair sweep does) preserves recorded trajectories bit for
-    /// bit. The win is keeping the whole sampling phase inside one member
-    /// table walk, ahead of whatever record work the caller does next.
+    /// bit. After the draws, one gather pass loads every sampled cell and
+    /// every non-sentinel `excludes` entry (the requesters, whose out-slots
+    /// the caller re-points next) with independent reads, so the whole
+    /// batch's cache misses overlap before the caller's first write.
     pub fn sample_members_each_excluding_into<R: rand::Rng + ?Sized>(
         &self,
         rng: &mut R,
         excludes: &[u32],
         out: &mut Vec<u32>,
     ) {
+        let start = out.len();
         out.reserve(excludes.len());
         for &exclude in excludes {
             if exclude == SAMPLE_SKIP {
@@ -970,6 +983,30 @@ impl DynamicGraph {
                     .unwrap_or(SAMPLE_NONE),
             );
         }
+        self.gather(&out[start..]);
+        self.gather(excludes);
+    }
+
+    /// The gather pass of the batch mutators: independent reads of each
+    /// listed cell's occupancy, identifier, member position and both list
+    /// lengths. A 136-byte cell straddles up to three cache lines, and these
+    /// fields sit on all of them. Nothing depends on the loaded values but a
+    /// folded checksum, so the out-of-order core keeps every miss of the
+    /// batch in flight at once; without the pass, the write sequence that
+    /// follows takes them one at a time behind its own dependent checks.
+    /// Sentinels ([`SAMPLE_SKIP`], [`SAMPLE_NONE`], [`NO_TARGET`]) fail the
+    /// bounds check and vacant cells the occupancy check. Pure reads: no
+    /// observable effect.
+    #[inline]
+    fn gather(&self, cells: &[u32]) {
+        let mut fold = 0u64;
+        for &idx in cells {
+            if let Some(Some(rec)) = self.slab.get(idx as usize) {
+                let lens = rec.in_refs.len ^ rec.out_slots.len ^ rec.member_pos;
+                fold ^= rec.id.raw() ^ u64::from(lens);
+            }
+        }
+        std::hint::black_box(fold);
     }
 
     /// Appends the dense indices of every undirected neighbour of `idx` to
@@ -1171,9 +1208,9 @@ impl DynamicGraph {
     /// Returns [`GraphError::DuplicateNode`] if a node with this identifier is
     /// already alive.
     pub fn add_node_indexed(&mut self, id: NodeId, out_degree: usize) -> Result<u32> {
-        if self.index.contains_key(&id) {
+        let Entry::Vacant(entry) = self.index.entry(id) else {
             return Err(GraphError::DuplicateNode(id));
-        }
+        };
         let record = NodeRecord {
             id,
             member_pos: self.members.len() as u32,
@@ -1201,7 +1238,7 @@ impl DynamicGraph {
         }
         self.next_sorted_id = self.next_sorted_id.max(id.raw().saturating_add(1));
         self.members.push(idx);
-        self.index.insert(id, idx);
+        entry.insert(idx);
         if self.observing() {
             if let Some(delta) = self.delta.as_deref_mut() {
                 delta.births.push((idx, id));
@@ -1415,6 +1452,16 @@ impl DynamicGraph {
             .and_then(Option::take)
             .ok_or(GraphError::VacantIndex(idx))?;
         out.id = record.id;
+        // Gather the cells the unhooking below writes — the dead node's
+        // targets, the owners of the slots pointing at it, and the member
+        // swapped into its member-table position — before the first write
+        // (spilled list entries, rare past the inline capacity, are not
+        // gathered).
+        self.gather(record.out_slots.inline_slice());
+        self.gather(record.in_refs.inline_slice());
+        if let Some(last) = self.members.last() {
+            self.gather(std::slice::from_ref(last));
+        }
         self.index.remove(&record.id);
         // Clear the behavior tag so a recycled cell never inherits it. The
         // slab may have grown past the tag array since the last assignment,

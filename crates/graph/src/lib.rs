@@ -31,8 +31,12 @@
 //! contiguous array addressed by a dense `u32` index, vacated cells are
 //! recycled through a free list, and all adjacency state (out-slot targets,
 //! the in-reference multiset) is stored as dense indices with small inline
-//! capacity — steady-state churn touches no hash table and performs no heap
-//! allocation. Every mutator exists in two flavours:
+//! capacity. Steady-state churn performs no heap allocation, and the only
+//! hashing left on it is the `NodeId → index` side map: one insert per birth
+//! and one remove per death. Edge mutations, target sampling and regeneration
+//! hash nothing. The batch mutators gather the cells they are about to write
+//! with independent loads first, so a churn step's cache misses overlap
+//! instead of queueing. Every mutator exists in two flavours:
 //!
 //! * **identifier-based** (`add_node`, `set_out_slot`, `remove_node`, …) — the
 //!   stable public API, resolving [`NodeId`]s through one hash lookup;

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use churn_graph::hashing::IdHashMap;
 use churn_graph::{DenseHandle, DynamicGraph, NodeId, NodeIdAllocator, RemovedNode};
 use churn_stochastic::process::{BirthDeathChain, Jump};
 use churn_stochastic::rng::{derive_seed, seeded_rng, SimRng};
@@ -239,7 +238,10 @@ pub struct RaesModel {
     order: VecDeque<(NodeId, u32)>,
     /// Poisson driver state.
     chain: Option<BirthDeathChain>,
-    birth_time: IdHashMap<NodeId, f64>,
+    /// Birth time of each slab cell's current occupant, indexed by dense
+    /// index (written on spawn; a vacated cell's stale value is never read,
+    /// since only alive identifiers resolve to a cell).
+    birth_time: Vec<f64>,
     alloc: NodeIdAllocator,
     newest: Option<NodeId>,
     /// The protocol's work queue. Compacted in place every round; evictions
@@ -247,9 +249,10 @@ pub struct RaesModel {
     pending: Vec<PendingRequest>,
     overflow: Vec<PendingRequest>,
     /// Per-sweep target batch, aligned with the queue (sentinel-coded for
-    /// dead owners / missing candidates). Drawing every target before any
-    /// record is touched lets the out-of-order core overlap the per-target
-    /// cache misses, the same trick the baseline models use on spawn.
+    /// dead owners / missing candidates). Every target is drawn in one bulk
+    /// call, which then gathers the targets' and owners' cells with
+    /// independent loads before the sweep's first write — the same batch
+    /// path the baseline models use on spawn and regeneration.
     sample_scratch: Vec<u32>,
     /// Per-sweep exclusion batch feeding the graph's bulk
     /// `sample_members_each_excluding_into` draw: one entry per pending
@@ -325,7 +328,7 @@ impl RaesModel {
             churn_steps: 0,
             order: VecDeque::with_capacity(capacity),
             chain,
-            birth_time: IdHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            birth_time: Vec::with_capacity(capacity),
             alloc: NodeIdAllocator::new(),
             newest: None,
             pending: Vec::new(),
@@ -479,7 +482,9 @@ impl RaesModel {
                     .expect("freshly added node is alive");
             }
         }
-        self.birth_time.insert(id, time);
+        // The slab grows one cell at a time, so this is a no-op or a push.
+        self.birth_time.resize(self.graph.slab_len(), f64::NAN);
+        self.birth_time[idx as usize] = time;
         self.newest = Some(id);
         // The streaming driver maintains the birth-order queue itself; under
         // Poisson churn the queue is only needed (and only maintained) for
@@ -493,7 +498,6 @@ impl RaesModel {
     }
 
     fn kill_node(&mut self, victim: NodeId, victim_idx: u32) {
-        self.birth_time.remove(&victim);
         if self.newest == Some(victim) {
             self.newest = None;
         }
@@ -570,10 +574,11 @@ impl RaesModel {
     /// handed to [`DynamicGraph::sample_members_each_excluding_into`], which
     /// draws every first-attempt target inside a single member-table walk —
     /// the draws depend only on the member table, never on earlier accepts,
-    /// so this is behaviour-preserving (bit-identical RNG stream) and lets
-    /// the per-target cache misses overlap. The queue is then compacted in
-    /// place; evictions are staged in `overflow` and appended afterwards, so
-    /// the sweep itself never moves the buffer.
+    /// so this is behaviour-preserving (bit-identical RNG stream) — and then
+    /// gathers every target's and owner's cell, so the sweep's cache misses
+    /// overlap instead of queueing one per request. The queue is then
+    /// compacted in place; evictions are staged in `overflow` and appended
+    /// afterwards, so the sweep itself never moves the buffer.
     ///
     /// With `attempts_per_round > 1` (reject-and-retry only), a rejected
     /// request resamples inline up to the budget before being carried over;
@@ -932,7 +937,9 @@ impl DynamicNetwork for RaesModel {
     }
 
     fn birth_time(&self, id: NodeId) -> Option<f64> {
-        self.birth_time.get(&id).copied()
+        self.graph
+            .dense_index_of(id)
+            .map(|idx| self.birth_time[idx as usize])
     }
 
     fn newest_node(&self) -> Option<NodeId> {
@@ -944,8 +951,9 @@ impl DynamicNetwork for RaesModel {
     }
 
     fn warm_up(&mut self) {
+        let mut summary = ChurnSummary::new();
         while !self.is_warm() {
-            self.step_round();
+            self.step_round_into(&mut summary);
         }
     }
 
