@@ -1,8 +1,11 @@
 //! Cost of the candidate-set expansion estimator on warm snapshots, at the two
-//! candidate budgets (`fast` vs `default`) used by the experiments — now with
-//! an `n = 10^6` row (fast budget), which the incremental sweep-evaluation of
-//! the candidate families made feasible: all prefixes of one BFS/spectral
-//! ordering evaluate in O(n + m) total instead of O(n) each.
+//! candidate budgets (`fast` vs `default`) used by the experiments, plus an
+//! `n = 10^6` row at the fast budget. Each candidate family computes its
+//! `(size, boundary)` counts directly: a BFS ball's boundary is the next BFS
+//! layer, a random set's is a bitset popcount, a singleton's is its adjacency
+//! row and a whole component's is empty. Only the spectral sweep runs the
+//! incremental boundary sweep, which evaluates all prefixes of one ordering in
+//! O(n + m) total instead of O(n) each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

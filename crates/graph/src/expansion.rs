@@ -57,8 +57,8 @@ pub fn outer_boundary(snapshot: &Snapshot, set: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Size of the outer boundary of `set` (deduplicated member indices assumed not
-/// required; duplicates are ignored).
+/// Size of the outer boundary of `set`. `set` need not be deduplicated:
+/// duplicates are ignored, as in [`outer_boundary`].
 #[must_use]
 pub fn outer_boundary_size(snapshot: &Snapshot, set: &[usize]) -> usize {
     outer_boundary(snapshot, set).len()
@@ -313,19 +313,10 @@ impl ExpansionEstimator {
     }
 
     fn component_candidates(&self, snapshot: &Snapshot, state: &mut SearchState) {
+        // A whole component has an empty outer boundary by definition.
         let comps = connected_components(snapshot);
-        for label in 0..comps.count() {
-            let size = comps.sizes[label];
-            if size < state.min_size || size > state.max_size {
-                continue;
-            }
-            let set: Vec<usize> = comps
-                .component
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| (c == label).then_some(i))
-                .collect();
-            state.consider(snapshot, &set, CandidateFamily::Component);
+        for &size in &comps.sizes {
+            state.record_counts(size, 0, CandidateFamily::Component);
         }
     }
 
@@ -336,14 +327,18 @@ impl ExpansionEstimator {
         state: &mut SearchState,
     ) {
         let n = snapshot.len();
+        let mut record = |i| {
+            state.record_counts(
+                1,
+                singleton_boundary(snapshot, i),
+                CandidateFamily::Singleton,
+            )
+        };
         if n <= 4096 {
-            for i in 0..n {
-                state.consider(snapshot, &[i], CandidateFamily::Singleton);
-            }
+            (0..n).for_each(&mut record);
         } else {
             for _ in 0..4096 {
-                let i = rng.gen_range(0..n);
-                state.consider(snapshot, &[i], CandidateFamily::Singleton);
+                record(rng.gen_range(0..n));
             }
         }
     }
@@ -355,24 +350,12 @@ impl ExpansionEstimator {
         state: &mut SearchState,
     ) {
         let n = snapshot.len();
+        let mut balls = BfsBalls::new(n);
         for _ in 0..self.config.bfs_sources {
             let source = rng.gen_range(0..n);
-            let layers = crate::traversal::bfs_layers(snapshot, source);
-            // Grow the ball layer by layer inside one incremental sweep:
-            // evaluating every ball of one source costs O(n + m) total, not
-            // O(n) per ball.
-            state.begin();
-            let mut len = 0usize;
-            for layer in layers {
-                len += layer.len();
-                if len > state.max_size {
-                    break;
-                }
-                for &v in &layer {
-                    state.push(snapshot, v);
-                }
-                state.record(CandidateFamily::BfsBall);
-            }
+            balls.for_each_ball(snapshot, source, state.max_size, |size, boundary| {
+                state.record_counts(size, boundary, CandidateFamily::BfsBall);
+            });
         }
     }
 
@@ -412,6 +395,7 @@ impl ExpansionEstimator {
     ) {
         let n = snapshot.len();
         let mut indices: Vec<usize> = (0..n).collect();
+        let mut bits = SetBits::new(n);
         for _ in 0..self.config.random_size_samples {
             let size = if state.min_size >= state.max_size {
                 state.min_size
@@ -419,22 +403,120 @@ impl ExpansionEstimator {
                 rng.gen_range(state.min_size..=state.max_size)
             };
             for _ in 0..self.config.random_sets_per_size {
+                // The whole permutation carries over to the next set, so the
+                // shuffle stays full even though only a prefix is used.
                 indices.shuffle(rng);
-                let set = &indices[..size];
-                state.consider(snapshot, set, CandidateFamily::RandomSet);
+                let boundary = bits.boundary_size(snapshot, &indices[..size]);
+                state.record_counts(size, boundary, CandidateFamily::RandomSet);
             }
         }
     }
 }
 
-/// The estimator's search accumulator: tracks the worst witness found and
-/// maintains an **incremental** boundary sweep. The member/boundary flag
-/// arrays are allocated once per estimate and reset by undoing only the flags
-/// the previous candidate touched, so evaluating a candidate costs
-/// `O(Δ · d)` in the number of newly added vertices — the prefix families
-/// (BFS balls, spectral sweeps) evaluate *all* their prefixes in one
-/// `O(n + m)` pass instead of `O(n)` per prefix. That asymptotic change is
-/// what scales the estimator from `n ≈ 10^4` to `n = 10^6`.
+/// `|∂_out({i})|`: the neighbours of `i` other than `i` itself (snapshot rows
+/// are deduplicated, but may hold a self entry).
+fn singleton_boundary(snapshot: &Snapshot, i: usize) -> usize {
+    snapshot.neighbors_of(i).iter().filter(|&&j| j != i).count()
+}
+
+/// Level-synchronous BFS scratch, reused across sources: a visited flag per
+/// vertex and one queue holding the visited vertices layer after layer.
+struct BfsBalls {
+    visited: Vec<bool>,
+    queue: Vec<usize>,
+}
+
+impl BfsBalls {
+    fn new(n: usize) -> Self {
+        BfsBalls {
+            visited: vec![false; n],
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// Calls `visit(|B_k|, |∂_out(B_k)|)` for the balls `B_k` of radius
+    /// `k = 0, 1, …` around `source`, as long as `|B_k| <= max_size`. The
+    /// outer boundary of `B_k` is exactly BFS layer `k + 1`, so each ball
+    /// costs one layer expansion and no per-vertex boundary bookkeeping. The
+    /// last ball of a component has an empty boundary.
+    fn for_each_ball(
+        &mut self,
+        snapshot: &Snapshot,
+        source: usize,
+        max_size: usize,
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        // Undo only the previous source's flags.
+        for &v in &self.queue {
+            self.visited[v] = false;
+        }
+        self.queue.clear();
+        self.queue.push(source);
+        self.visited[source] = true;
+        let mut start = 0;
+        // The queue holds exactly the current ball B_k.
+        while self.queue.len() <= max_size {
+            let end = self.queue.len();
+            for idx in start..end {
+                let u = self.queue[idx];
+                for &v in snapshot.neighbors_of(u) {
+                    if !self.visited[v] {
+                        self.visited[v] = true;
+                        self.queue.push(v);
+                    }
+                }
+            }
+            visit(end, self.queue.len() - end);
+            if self.queue.len() == end {
+                break;
+            }
+            start = end;
+        }
+    }
+}
+
+/// Member and neighbour bitsets (one bit per vertex) for counting the outer
+/// boundary of an explicit set without per-vertex branching.
+struct SetBits {
+    member: Vec<u64>,
+    hit: Vec<u64>,
+}
+
+impl SetBits {
+    fn new(n: usize) -> Self {
+        SetBits {
+            member: vec![0; n.div_ceil(64)],
+            hit: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// `|∂_out(set)|`, as the popcount of `hit & !member` where `hit` has the
+    /// bit of every neighbour of a member. Duplicates in `set` are ignored.
+    fn boundary_size(&mut self, snapshot: &Snapshot, set: &[usize]) -> usize {
+        self.member.fill(0);
+        self.hit.fill(0);
+        for &v in set {
+            self.member[v >> 6] |= 1 << (v & 63);
+            for &u in snapshot.neighbors_of(v) {
+                self.hit[u >> 6] |= 1 << (u & 63);
+            }
+        }
+        self.hit
+            .iter()
+            .zip(&self.member)
+            .map(|(&h, &m)| (h & !m).count_ones() as usize)
+            .sum()
+    }
+}
+
+/// The estimator's search accumulator: tracks the worst witness found from
+/// the `(size, boundary)` counts each candidate family reports. Components,
+/// singletons, BFS balls and random sets compute their counts directly (see
+/// the family methods); only the spectral sweep, whose prefixes follow an
+/// arbitrary vertex order, uses the **incremental** boundary sweep kept here.
+/// Its member/boundary flag arrays are allocated once per estimate and reset
+/// by undoing only the flags the previous sweep touched, so all prefixes of
+/// one ordering evaluate in one `O(n + m)` pass instead of `O(n)` per prefix.
 struct SearchState {
     min_size: usize,
     max_size: usize,
@@ -504,31 +586,25 @@ impl SearchState {
 
     /// Records the current sweep state as a candidate if its size is in range.
     fn record(&mut self, family: CandidateFamily) {
-        if self.size < self.min_size || self.size > self.max_size || self.size == 0 {
+        self.record_counts(self.size, self.boundary, family);
+    }
+
+    /// Records a candidate with `|S| = size` and `|∂_out(S)| = boundary` if
+    /// its size is in range.
+    fn record_counts(&mut self, size: usize, boundary: usize, family: CandidateFamily) {
+        if size < self.min_size || size > self.max_size || size == 0 {
             return;
         }
         self.evaluated += 1;
-        let ratio = self.boundary as f64 / self.size as f64;
+        let ratio = boundary as f64 / size as f64;
         if self.worst.as_ref().is_none_or(|w| ratio < w.ratio) {
             self.worst = Some(ExpansionWitness {
-                size: self.size,
-                boundary: self.boundary,
+                size,
+                boundary,
                 ratio,
                 family,
             });
         }
-    }
-
-    /// One-shot evaluation of an explicit (duplicate-free) candidate set.
-    fn consider(&mut self, snapshot: &Snapshot, set: &[usize], family: CandidateFamily) {
-        if set.is_empty() || set.len() < self.min_size || set.len() > self.max_size {
-            return;
-        }
-        self.begin();
-        for &v in set {
-            self.push(snapshot, v);
-        }
-        self.record(family);
     }
 
     fn finish(self) -> ExpansionEstimate {
@@ -594,20 +670,10 @@ pub fn spectral_order<R: Rng + ?Sized>(
     // Random start vector, orthogonalised against the stationary distribution.
     let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
+    let mut y = vec![0.0f64; n];
     for _ in 0..iterations.max(1) {
         deflate(&mut x, &degrees, total_degree);
-        // y = (I + P) / 2 * x  with P the random-walk matrix D^{-1} A;
-        // isolated vertices keep their value (pure laziness).
-        let mut y = vec![0.0f64; n];
-        for i in 0..n {
-            let neigh = snapshot.neighbors_of(i);
-            if neigh.is_empty() {
-                y[i] = x[i];
-                continue;
-            }
-            let avg: f64 = neigh.iter().map(|&j| x[j]).sum::<f64>() / neigh.len() as f64;
-            y[i] = 0.5 * x[i] + 0.5 * avg;
-        }
+        lazy_walk_step(snapshot, &x, &mut y);
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm < 1e-12 {
             // Degenerate (e.g. graph with no edges): fall back to index order.
@@ -616,7 +682,7 @@ pub fn spectral_order<R: Rng + ?Sized>(
         for v in &mut y {
             *v /= norm;
         }
-        x = y;
+        std::mem::swap(&mut x, &mut y);
     }
     deflate(&mut x, &degrees, total_degree);
 
@@ -628,6 +694,52 @@ pub fn spectral_order<R: Rng + ?Sized>(
     });
     order
 }
+
+/// `y = (I + P) / 2 · x` with `P = D^{-1} A` the random-walk matrix; isolated
+/// vertices keep their value (pure laziness).
+///
+/// Rows are processed [`ROW_LANES`] at a time with their neighbour sums
+/// interleaved, so the independent add chains overlap instead of each row
+/// waiting on the previous one's. Every row still sums its neighbours left
+/// to right from `Iterator::sum`'s starting value, so each `y[i]` is
+/// bit-identical to `0.5 * x[i] + 0.5 * (Σ x[j] / deg)` summed row by row.
+fn lazy_walk_step(snapshot: &Snapshot, x: &[f64], y: &mut [f64]) {
+    // `Iterator::sum`'s identity for f64 (its sign decides `-0.0 + -0.0`).
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let finish = |xi: f64, sum: f64, degree: usize| {
+        if degree == 0 {
+            xi
+        } else {
+            0.5 * xi + 0.5 * (sum / degree as f64)
+        }
+    };
+    let n = x.len();
+    let blocked = n - n % ROW_LANES;
+    for base in (0..blocked).step_by(ROW_LANES) {
+        let rows: [&[usize]; ROW_LANES] = std::array::from_fn(|l| snapshot.neighbors_of(base + l));
+        let common = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+        let mut sums = [zero; ROW_LANES];
+        for k in 0..common {
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                *sum += x[row[k]];
+            }
+        }
+        for (l, (sum, row)) in sums.iter_mut().zip(&rows).enumerate() {
+            for &j in &row[common..] {
+                *sum += x[j];
+            }
+            y[base + l] = finish(x[base + l], *sum, row.len());
+        }
+    }
+    for i in blocked..n {
+        let row = snapshot.neighbors_of(i);
+        let sum = row.iter().fold(zero, |acc, &j| acc + x[j]);
+        y[i] = finish(x[i], sum, row.len());
+    }
+}
+
+/// Rows whose neighbour sums [`lazy_walk_step`] interleaves.
+const ROW_LANES: usize = 4;
 
 /// Removes the component of `x` along the stationary distribution π ∝ degree
 /// (the top eigenvector of the random-walk matrix).
@@ -861,6 +973,96 @@ mod tests {
         state.push(&snap, 0);
         state.push(&snap, 0);
         assert_eq!(state.size, 1);
+    }
+
+    /// A random graph on `n` vertices with about `n · degree / 2` edges,
+    /// assembled through `from_csr_parts` so rows may hold a self entry
+    /// (vertex 0's always does). Low `degree` leaves it disconnected:
+    /// isolated vertices, small components.
+    fn random_csr_graph(n: usize, degree: usize, r: &mut StdRng) -> Snapshot {
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+        lists[0].push(0);
+        for _ in 0..n * degree / 2 {
+            let (u, v) = (r.gen_range(0..n), r.gen_range(0..n));
+            lists[u].push(v);
+            lists[v].push(u);
+        }
+        let mut offsets = vec![0];
+        let mut adjacency = Vec::new();
+        for list in &mut lists {
+            list.sort_unstable();
+            list.dedup();
+            adjacency.extend_from_slice(list);
+            offsets.push(adjacency.len());
+        }
+        let ids = (0..n as u64).map(NodeId::new).collect();
+        Snapshot::from_csr_parts(ids, offsets, adjacency)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The counts the direct families record equal from-scratch
+        /// `outer_boundary_size` counts of the sets they stand for.
+        #[test]
+        fn direct_counts_match_outer_boundary(
+            n in 2usize..90,
+            degree in 0usize..5,
+            seed in proptest::arbitrary::any::<u64>()
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let snap = random_csr_graph(n, degree, &mut r);
+
+            // BFS balls: |B_k| and |∂_out(B_k)| for every ball up to max_size.
+            let mut balls = BfsBalls::new(n);
+            for source in 0..n {
+                let max_size = r.gen_range(1..=n);
+                let mut recorded = Vec::new();
+                balls.for_each_ball(&snap, source, max_size, |size, boundary| {
+                    recorded.push((size, boundary));
+                });
+                let mut expected = Vec::new();
+                let mut ball = Vec::new();
+                for layer in crate::traversal::bfs_layers(&snap, source) {
+                    ball.extend_from_slice(&layer);
+                    if ball.len() > max_size {
+                        break;
+                    }
+                    expected.push((ball.len(), outer_boundary_size(&snap, &ball)));
+                }
+                proptest::prop_assert_eq!(recorded, expected);
+            }
+
+            // Random sets, counted by bitset.
+            let mut bits = SetBits::new(n);
+            let mut indices: Vec<usize> = (0..n).collect();
+            for _ in 0..8 {
+                indices.shuffle(&mut r);
+                let set = &indices[..r.gen_range(1..=n)];
+                proptest::prop_assert_eq!(
+                    bits.boundary_size(&snap, set),
+                    outer_boundary_size(&snap, set)
+                );
+            }
+
+            // Singletons, read off the adjacency row.
+            proptest::prop_assert!(snap.neighbors_of(0).contains(&0));
+            for i in 0..n {
+                proptest::prop_assert_eq!(
+                    singleton_boundary(&snap, i),
+                    outer_boundary_size(&snap, &[i])
+                );
+            }
+
+            // Whole components have an empty outer boundary.
+            let comps = connected_components(&snap);
+            for label in 0..comps.count() {
+                let component: Vec<usize> =
+                    (0..n).filter(|&i| comps.component[i] == label).collect();
+                proptest::prop_assert_eq!(component.len(), comps.sizes[label]);
+                proptest::prop_assert_eq!(outer_boundary_size(&snap, &component), 0);
+            }
+        }
     }
 
     #[test]
