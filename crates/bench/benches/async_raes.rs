@@ -7,7 +7,7 @@
 //! layer, so even a short horizon pays ~`2·n·d` message events plus one
 //! streaming churn round per simulated time unit — the rows measure raw
 //! scheduler + engine throughput, which is what `BENCH_PR10.json` pairs
-//! before/after the calendar-queue rewrite.
+//! before/after a rewrite of the event core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

@@ -1,5 +1,5 @@
-//! Scheduler microbenchmark: steady-state schedule/pop and
-//! schedule/cancel/pop mixes with a fixed number of events pending.
+//! Scheduler microbenchmark: steady-state schedule/pop with a fixed number
+//! of events pending.
 //!
 //! Each iteration performs `OPS` (1024) operations against a queue that was
 //! pre-filled to the row's pending size and is kept at that size (every pop
@@ -9,10 +9,9 @@
 //! come from a splitmix-style LCG (no RNG overhead in the measured loop)
 //! and advance the clock monotonically, like real latency draws do.
 //!
-//! `BENCH_PR10.json` pairs these rows before/after the calendar-queue
-//! rewrite of `churn_stochastic::EventQueue`; the bench itself only uses
-//! the public schedule/cancel/pop API, so it runs unmodified against both
-//! implementations.
+//! The bench uses only the public schedule/pop API of
+//! `churn_stochastic::EventQueue`, so it runs unmodified against any
+//! implementation of the queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -49,30 +48,16 @@ fn prefill(n: usize) -> (EventQueue<u64>, Deltas) {
     (queue, deltas)
 }
 
-fn bench_mix(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    kind: &'static str,
-    n: usize,
-    cancels: bool,
-) {
+fn bench_schedule_pop(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
     let mut state: Option<(EventQueue<u64>, Deltas)> = None;
-    group.bench_with_input(BenchmarkId::new(kind, n), &n, |bencher, &n| {
+    group.bench_with_input(BenchmarkId::new("schedule-pop", n), &n, |bencher, &n| {
         let (queue, deltas) = state.get_or_insert_with(|| prefill(n));
         bencher.iter(|| {
             let mut acc = 0u64;
             for _ in 0..OPS {
                 let (now, payload) = queue.pop().expect("queue is kept non-empty");
                 acc = acc.wrapping_add(payload);
-                if cancels {
-                    // schedule two, cancel one: the queue sees the
-                    // retransmit-and-ack pattern (arm a timeout, cancel it
-                    // when the reply lands) without changing its size.
-                    let doomed = queue.schedule(now + deltas.next(), payload);
-                    queue.schedule(now + deltas.next(), payload);
-                    queue.cancel(doomed);
-                } else {
-                    queue.schedule(now + deltas.next(), payload);
-                }
+                queue.schedule(now + deltas.next(), payload);
             }
             criterion::black_box(acc)
         });
@@ -85,8 +70,7 @@ fn bench_sched(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     for n in [1_000usize, 100_000] {
-        bench_mix(&mut group, "schedule-pop", n, false);
-        bench_mix(&mut group, "schedule-cancel-pop", n, true);
+        bench_schedule_pop(&mut group, n);
     }
     group.finish();
 
@@ -96,8 +80,7 @@ fn bench_sched(c: &mut Criterion) {
     group
         .sample_size(3)
         .measurement_time(Duration::from_secs(1));
-    bench_mix(&mut group, "schedule-pop", 10_000_000, false);
-    bench_mix(&mut group, "schedule-cancel-pop", 10_000_000, true);
+    bench_schedule_pop(&mut group, 10_000_000);
     group.finish();
 }
 

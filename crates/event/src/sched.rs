@@ -140,7 +140,7 @@ impl<E> Scheduler<E> {
 
     /// Timestamp of the next event without popping it.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<f64> {
+    pub fn peek_time(&self) -> Option<f64> {
         self.queue.peek_time()
     }
 
