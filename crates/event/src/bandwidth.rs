@@ -160,12 +160,6 @@ impl EgressQueues {
         }
     }
 
-    /// The shared bandwidth model.
-    #[must_use]
-    pub fn model(&self) -> &BandwidthModel {
-        &self.model
-    }
-
     /// Largest backlog any queue reached (pending messages at an enqueue
     /// instant, including the new one).
     #[must_use]

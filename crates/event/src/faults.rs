@@ -92,9 +92,12 @@ pub struct PartitionWindow {
 /// Crash–restart process: per unit of simulated time each alive node
 /// crashes with intensity `rate` (crash counts are Poisson over the alive
 /// population); a crashed node rejoins after a `downtime` draw.
+///
+/// The rate is per node per unit time and at most 1, so a tick draws on
+/// average at most one crash per alive node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrashRestart {
-    /// Per-node crash intensity per unit of simulated time.
+    /// Per-node crash intensity per unit of simulated time, in `[0, 1]`.
     pub rate: f64,
     /// Downtime distribution (re-using the latency model family).
     pub downtime: LatencyModel,
@@ -198,8 +201,11 @@ impl FaultPlan {
             }
         }
         if let Some(crash) = &self.crash {
-            if !(crash.rate.is_finite() && crash.rate >= 0.0) {
-                return Err(format!("crash rate {} must be finite and ≥ 0", crash.rate));
+            if !unit(crash.rate) {
+                return Err(format!(
+                    "crash rate {} per node per unit time outside [0, 1]",
+                    crash.rate
+                ));
             }
             crash.downtime.validate()?;
         }
@@ -258,14 +264,6 @@ impl FaultPlan {
     pub fn block_of(&self, window_idx: usize, id: u64) -> u32 {
         let window = &self.partitions[window_idx];
         (derive_seed(id, PARTITION_SALT ^ window_idx as u64) % u64::from(window.blocks)) as u32
-    }
-
-    /// `true` while any partition window is active at `now`.
-    #[must_use]
-    pub fn partition_active(&self, now: f64) -> bool {
-        self.partitions
-            .iter()
-            .any(|w| w.start <= now && now < w.heal)
     }
 }
 
@@ -376,7 +374,7 @@ impl<'p> FaultState<'p> {
             None => 0,
             Some(crash) if crash.rate == 0.0 || alive == 0 => 0,
             Some(crash) => Poisson::new(crash.rate * alive as f64)
-                .expect("validated: crash rate is finite and non-negative")
+                .expect("validated: crash rate lies in [0, 1]")
                 .sample(&mut self.rng),
         }
     }
@@ -447,12 +445,6 @@ impl<'p> FaultState<'p> {
             .is_some_and(|windows| windows.iter().any(|&(start, end)| start <= t && t < end))
     }
 
-    /// Number of nodes currently down.
-    #[must_use]
-    pub fn down_count(&self) -> usize {
-        self.down.len()
-    }
-
     /// Total crashes injected so far.
     #[must_use]
     pub fn crashes(&self) -> u64 {
@@ -515,12 +507,14 @@ mod tests {
         });
         assert!(plan.validate().is_err());
 
-        let mut plan = FaultPlan::none();
-        plan.crash = Some(CrashRestart {
-            rate: -0.1,
-            downtime: LatencyModel::Fixed(1.0),
-        });
-        assert!(plan.validate().is_err());
+        for rate in [-0.1, 1.5, 1e12, 1e308, f64::NAN] {
+            let mut plan = FaultPlan::none();
+            plan.crash = Some(CrashRestart {
+                rate,
+                downtime: LatencyModel::Fixed(1.0),
+            });
+            assert!(plan.validate().is_err(), "crash rate {rate}");
+        }
 
         let mut plan = FaultPlan::none();
         plan.anti_entropy = Some(0.0);
@@ -607,8 +601,6 @@ mod tests {
         assert!(state.blocked(23.9, 0, cross));
         assert!(!state.blocked(24.0, 0, cross), "heal is exclusive");
         assert!(!state.blocked(12.0, 0, same), "same block never blocked");
-        assert!(plan.partition_active(12.0));
-        assert!(!plan.partition_active(24.0));
         // Blocks are a pure function of the id: re-evaluation agrees.
         assert_eq!(plan.block_of(0, cross), plan.block_of(0, cross));
         // Both blocks are populated over a small id range.
@@ -627,8 +619,9 @@ mod tests {
         assert!(state.mark_down(5, 10.0));
         assert!(!state.mark_down(5, 10.5), "double crash is a no-op");
         assert!(state.is_down(5));
-        assert_eq!(state.down_count(), 1);
+        assert!(!state.is_down(4), "only the victim is down");
         assert!(state.mark_up(5, 12.0));
+        assert!(!state.is_down(5));
         assert!(!state.mark_up(5, 12.5), "double restart is a no-op");
         assert_eq!((state.crashes(), state.restarts()), (1, 1));
         // The down window [10, 12) voids departures queued at the crash.

@@ -24,18 +24,17 @@
 //! jump chain). The half-unit offset keeps the synchronous convention that a
 //! round's deliveries land before the round's churn.
 
-use churn_core::flooding::TAG_NO_FORWARD;
 use churn_core::DynamicNetwork;
-use churn_graph::hashing::IdHashSet;
 use churn_graph::{DenseHandle, DynamicGraph, NodeId};
-use churn_stochastic::rng::{substream_rng, SimRng};
+use churn_stochastic::rng::substream_rng;
 
-use crate::bandwidth::{BandwidthModel, EgressQueues, Enqueue};
-use crate::faults::{FaultPlan, FaultState};
+use crate::bandwidth::BandwidthModel;
+use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
-use crate::sched::{Scheduler, TraceEvent};
+use crate::sched::TraceEvent;
 use crate::stats::EventStats;
 use crate::trace::{TraceBins, TraceMode};
+use crate::wire::{Net, Refused, Rumor, RumorCopy};
 
 /// Substream tag of the latency-sampling RNG (independent of every model
 /// substream, so attaching the event layer never perturbs the churn
@@ -221,6 +220,7 @@ impl AsyncFloodingRecord {
 }
 
 /// One scheduled event of the flooding process.
+#[derive(Clone, Copy)]
 enum Ev {
     /// A rumor copy arrives at `target` (revalidated at delivery). `from`
     /// and `departs` carry the sender identity and departure instant for
@@ -228,7 +228,7 @@ enum Ev {
     Deliver {
         target: DenseHandle,
         id: NodeId,
-        from: u64,
+        from: NodeId,
         departs: f64,
         hop: u32,
     },
@@ -241,316 +241,98 @@ enum Ev {
     AntiEntropy,
 }
 
-/// The flooding state of one run.
-struct Engine<'p> {
-    latency: LatencyModel,
-    sched: Scheduler<Ev>,
-    egress: EgressQueues,
-    stats: EventStats,
-    rng: SimRng,
-    faults: FaultState<'p>,
-    informed: IdHashSet<u64>,
-    entries: Vec<(DenseHandle, NodeId)>,
-    emergent_rounds: u32,
-    completion_time: Option<f64>,
-    /// Time of the previous churn tick — the heal census fires on the
-    /// first tick at or past each partition's heal instant.
-    last_tick: f64,
+// Every queued event pays for each byte of `Ev`: keep rumor copies in a
+// struct variant, which packs the tag into the padding.
+const _: () = assert!(std::mem::size_of::<Ev>() == 40);
+
+impl From<RumorCopy> for Ev {
+    fn from(copy: RumorCopy) -> Self {
+        let RumorCopy {
+            target,
+            id,
+            from,
+            departs,
+            hop,
+        } = copy;
+        Ev::Deliver {
+            target,
+            id,
+            from,
+            departs,
+            hop,
+        }
+    }
 }
 
-impl<'p> Engine<'p> {
-    /// Builds the engine; `initial_alive` seeds the streaming binner's
-    /// alive series (the population before the first churn event).
-    fn new(cfg: &AsyncFloodingConfig, plan: &'p FaultPlan, seed: u64, initial_alive: f64) -> Self {
-        let mut sched = Scheduler::new();
-        match cfg.trace {
-            TraceMode::Off => {}
-            TraceMode::Full => sched.enable_trace(),
-            TraceMode::Bins => sched.enable_bins(TRACE_CHURN, initial_alive),
+/// One pull round: every uninformed alive node asks one uniformly random
+/// peer for the rumor. A pull succeeds when the partner is informed, up,
+/// and on the same side of every active partition; the response pays the
+/// link faults and a latency draw like any message.
+fn anti_entropy(net: &mut Net<'_, Ev>, rumor: &Rumor, graph: &DynamicGraph, now: f64) {
+    for &idx in graph.member_indices() {
+        let id = graph.id_at(idx).expect("members are alive");
+        if rumor.holds(id) || net.faults.is_down(id.raw()) {
+            continue;
         }
-        Engine {
-            latency: cfg.latency,
-            sched,
-            egress: EgressQueues::new(cfg.bandwidth),
-            stats: EventStats::new(),
-            rng: substream_rng(seed, LATENCY_STREAM),
-            faults: FaultState::new(plan, seed),
-            informed: IdHashSet::default(),
-            entries: Vec::new(),
-            emergent_rounds: 0,
-            completion_time: None,
-            last_tick: 0.0,
+        let Some(partner_idx) = graph.sample_member(net.faults.rng()) else {
+            continue;
+        };
+        if partner_idx == idx {
+            continue; // self-pull finds nothing new
         }
-    }
-
-    /// Marks `idx` informed and forwards along its current incident links.
-    fn inform(&mut self, graph: &DynamicGraph, idx: u32, hop: u32, now: f64) {
-        let id = graph.id_at(idx).expect("informed nodes are alive");
-        let handle = graph.handle_at(idx).expect("informed nodes are alive");
-        self.informed.insert(id.raw());
-        self.entries.push((handle, id));
-        self.emergent_rounds = self.emergent_rounds.max(hop);
-        if graph.tags_enabled() && graph.tag_at(idx) & TAG_NO_FORWARD != 0 {
-            return; // informed, but does not forward (Byzantine behavior)
+        let partner = graph.id_at(partner_idx).expect("members are alive");
+        if !rumor.holds(partner)
+            || net.faults.is_down(partner.raw())
+            || net.faults.blocked(now, partner.raw(), id.raw())
+        {
+            continue;
         }
-        for target_idx in graph.neighbor_indices_at(idx) {
-            match self.egress.enqueue(id.raw(), now) {
-                Enqueue::Dropped => self.stats.messages_dropped += 1,
-                Enqueue::Sent {
-                    departs,
-                    queue_delay,
-                } => {
-                    self.stats.messages_sent += 1;
-                    self.stats.record_queue_delay(queue_delay);
-                    let target = graph
-                        .handle_at(target_idx)
-                        .expect("neighbors of an alive node are alive");
-                    let target_id = graph
-                        .id_at(target_idx)
-                        .expect("neighbors of an alive node are alive");
-                    // Link fate first: a wire-lost message draws no latency,
-                    // so an empty plan leaves the latency stream untouched.
-                    let copies = self.faults.copies(id.raw(), target_id.raw());
-                    if copies == 0 {
-                        self.stats.messages_fault_lost += 1;
-                        continue;
-                    }
-                    if copies == 2 {
-                        self.stats.messages_duplicated += 1;
-                    }
-                    for _ in 0..copies {
-                        let held = self.faults.reorder_delay();
-                        if held > 0.0 {
-                            self.stats.messages_reordered += 1;
-                        }
-                        let arrival = departs + self.latency.sample(&mut self.rng) + held;
-                        self.sched.schedule_at(
-                            arrival,
-                            Ev::Deliver {
-                                target,
-                                id: target_id,
-                                from: id.raw(),
-                                departs,
-                                hop: hop + 1,
-                            },
-                        );
-                    }
-                }
-            }
+        let copy = Ev::Deliver {
+            target: graph.handle_at(idx).expect("members are alive"),
+            id,
+            from: partner,
+            departs: now,
+            hop: rumor.rounds + 1,
+        };
+        if net.transmit(partner, id, now, copy) > 0 {
+            net.stats.anti_entropy_pulls += 1;
+            net.sched.record(TRACE_PULL, id.raw());
         }
     }
+}
 
-    /// Processes one delivery; returns `true` when a new node was informed.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        graph: &DynamicGraph,
-        target: DenseHandle,
-        id: NodeId,
-        from: u64,
-        departs: f64,
-        hop: u32,
-        now: f64,
-    ) -> bool {
-        if !graph.is_current(target) {
-            self.stats.messages_lost += 1;
-            self.sched.record(TRACE_LOST, id.raw());
-            return false;
+/// Records the per-block informed fractions at the first churn tick in
+/// `(last_tick, now]` past each partition's heal instant — the state
+/// anti-entropy has to recover from.
+fn heal_census(
+    net: &mut Net<'_, Ev>,
+    rumor: &Rumor,
+    graph: &DynamicGraph,
+    last_tick: f64,
+    now: f64,
+) {
+    let plan = net.faults.plan();
+    for (w_idx, window) in plan.partitions.iter().enumerate() {
+        if window.heal <= last_tick || window.heal > now {
+            continue;
         }
-        // Fault-layer gates, all no-ops under an empty plan: a departure
-        // inside the sender's down window was still queued at the crash and
-        // never reached the wire; an active partition cuts the link; a
-        // crashed target holds no protocol state to receive into.
-        if self.faults.was_down_at(from, departs) {
-            self.stats.messages_crash_voided += 1;
-            self.sched.record(TRACE_VOID, id.raw());
-            return false;
-        }
-        if self.faults.blocked(now, from, id.raw()) {
-            self.stats.messages_blocked += 1;
-            self.sched.record(TRACE_BLOCKED, id.raw());
-            return false;
-        }
-        if self.faults.is_down(id.raw()) {
-            self.stats.messages_to_down += 1;
-            self.sched.record(TRACE_DOWN, id.raw());
-            return false;
-        }
-        self.stats.messages_delivered += 1;
-        if self.informed.contains(&id.raw()) {
-            self.sched.record(TRACE_DUPLICATE, id.raw());
-            return false;
-        }
-        self.sched.record(TRACE_INFORMED, id.raw());
-        self.inform(graph, target.index, hop, now);
-        true
-    }
-
-    /// Drops informed entries that died in a churn window.
-    fn revalidate(&mut self, graph: &DynamicGraph) {
-        self.entries.retain(|&(handle, id)| {
-            let alive = graph.is_current(handle);
-            if !alive {
-                self.informed.remove(&id.raw());
-            }
-            alive
-        });
-    }
-
-    fn note_completion(&mut self, alive: usize, now: f64) {
-        if self.completion_time.is_none() && self.entries.len() == alive {
-            self.completion_time = Some(now);
-        }
-    }
-
-    /// Injects this tick's crashes: each victim loses its queued egress and
-    /// its rumor state but keeps its identity, and a restart is scheduled
-    /// after a drawn downtime.
-    fn crash_sweep(&mut self, graph: &DynamicGraph, now: f64) {
-        let crashes = self.faults.crash_count(graph.len());
-        for _ in 0..crashes {
-            let Some(idx) = graph.sample_member(self.faults.rng()) else {
-                break;
-            };
-            let id = graph.id_at(idx).expect("sampled members are alive");
-            if self.faults.is_down(id.raw()) {
-                continue; // already down — the crash lands on a dead machine
-            }
-            let downtime = self.faults.downtime();
-            self.faults.mark_down(id.raw(), now);
-            self.sched.record(TRACE_CRASH, id.raw());
-            self.egress.forget(id.raw());
-            if self.informed.remove(&id.raw()) {
-                self.entries.retain(|&(_, entry_id)| entry_id != id);
-            }
-            let target = graph.handle_at(idx).expect("sampled members are alive");
-            self.sched
-                .schedule_at(now + downtime, Ev::Restart { target, id });
-        }
-    }
-
-    /// Brings a crashed node back up — unless churn killed it first, in
-    /// which case the restart is void and the node is forgotten.
-    fn restart(&mut self, graph: &DynamicGraph, target: DenseHandle, id: NodeId, now: f64) {
-        if !graph.is_current(target) {
-            self.faults.forget(id.raw());
-            return;
-        }
-        if self.faults.mark_up(id.raw(), now) {
-            self.sched.record(TRACE_RESTART, id.raw());
-        }
-    }
-
-    /// One pull round: every uninformed alive node asks one uniformly
-    /// random peer for the rumor. A pull succeeds when the partner is
-    /// informed, up, and on the same side of every active partition; the
-    /// response pays the link faults and a latency draw like any message.
-    fn anti_entropy(&mut self, graph: &DynamicGraph, now: f64) {
+        let blocks = window.blocks as usize;
+        let mut informed = vec![0usize; blocks];
+        let mut alive = vec![0usize; blocks];
         for &idx in graph.member_indices() {
             let id = graph.id_at(idx).expect("members are alive");
-            if self.informed.contains(&id.raw()) || self.faults.is_down(id.raw()) {
-                continue;
-            }
-            let Some(partner_idx) = graph.sample_member(self.faults.rng()) else {
-                continue;
-            };
-            if partner_idx == idx {
-                continue; // self-pull finds nothing new
-            }
-            let partner = graph.id_at(partner_idx).expect("members are alive");
-            if !self.informed.contains(&partner.raw())
-                || self.faults.is_down(partner.raw())
-                || self.faults.blocked(now, partner.raw(), id.raw())
-            {
-                continue;
-            }
-            let copies = self.faults.copies(partner.raw(), id.raw());
-            if copies == 0 {
-                self.stats.messages_fault_lost += 1;
-                continue;
-            }
-            self.stats.anti_entropy_pulls += 1;
-            self.sched.record(TRACE_PULL, id.raw());
-            if copies == 2 {
-                self.stats.messages_duplicated += 1;
-            }
-            let target = graph.handle_at(idx).expect("members are alive");
-            for _ in 0..copies {
-                let held = self.faults.reorder_delay();
-                if held > 0.0 {
-                    self.stats.messages_reordered += 1;
-                }
-                let arrival = now + self.latency.sample(&mut self.rng) + held;
-                self.sched.schedule_at(
-                    arrival,
-                    Ev::Deliver {
-                        target,
-                        id,
-                        from: partner.raw(),
-                        departs: now,
-                        hop: self.emergent_rounds + 1,
-                    },
-                );
+            let block = plan.block_of(w_idx, id.raw()) as usize;
+            alive[block] += 1;
+            if rumor.holds(id) {
+                informed[block] += 1;
             }
         }
-    }
-
-    /// Records the per-block informed fractions at the first churn tick at
-    /// or past each partition's heal instant — the state anti-entropy has
-    /// to recover from.
-    fn heal_census(&mut self, graph: &DynamicGraph, now: f64) {
-        if self.faults.plan().partitions.is_empty() {
-            return;
-        }
-        let windows = &self.faults.plan().partitions;
-        for (w_idx, window) in windows.iter().enumerate() {
-            if window.heal <= self.last_tick || window.heal > now {
-                continue;
-            }
-            let blocks = window.blocks as usize;
-            let mut informed = vec![0usize; blocks];
-            let mut alive = vec![0usize; blocks];
-            for &idx in graph.member_indices() {
-                let id = graph.id_at(idx).expect("members are alive");
-                let block = self.faults.plan().block_of(w_idx, id.raw()) as usize;
-                alive[block] += 1;
-                if self.informed.contains(&id.raw()) {
-                    informed[block] += 1;
-                }
-            }
-            self.stats.heal_block_informed = informed
-                .iter()
-                .zip(&alive)
-                .map(|(&inf, &pop)| inf as f64 / pop.max(1) as f64)
-                .collect();
-            self.stats.heal_time = Some(window.heal);
-        }
-    }
-
-    fn into_record(mut self, alive: usize) -> AsyncFloodingRecord {
-        self.stats.events_processed = self.sched.processed();
-        self.stats.peak_backlog = self.egress.peak_backlog() as u64;
-        self.stats.sim_time = self.sched.now();
-        self.stats.crashes = self.faults.crashes();
-        self.stats.restarts = self.faults.restarts();
-        if let (Some(done), Some(heal)) = (self.completion_time, self.stats.heal_time) {
-            if done >= heal {
-                self.stats.time_to_reheal = Some(done - heal);
-            }
-        }
-        let mut informed_ids: Vec<NodeId> = self.entries.iter().map(|&(_, id)| id).collect();
-        informed_ids.sort_unstable();
-        AsyncFloodingRecord {
-            informed: self.entries.len(),
-            alive,
-            complete: !self.entries.is_empty() && self.entries.len() == alive,
-            completion_time: self.completion_time,
-            emergent_rounds: self.emergent_rounds,
-            trace: self.sched.take_trace(),
-            bins: self.sched.take_bins(),
-            stats: self.stats,
-            informed_ids,
-        }
+        net.stats.heal_block_informed = informed
+            .iter()
+            .zip(&alive)
+            .map(|(&inf, &pop)| inf as f64 / pop.max(1) as f64)
+            .collect();
+        net.stats.heal_time = Some(window.heal);
     }
 }
 
@@ -590,28 +372,28 @@ pub fn run_async_flooding_faulty<H: FloodHost>(
         AsyncSource::Node(id) => id,
         AsyncSource::Newest => host.newest_node(),
     };
-    let mut engine = Engine::new(cfg, plan, seed, host.graph().len() as f64);
+    let mut rumor = Rumor::default();
+    let rng = substream_rng(seed, LATENCY_STREAM);
+    let mut net = Net::new(cfg.latency, cfg.bandwidth, plan, seed, rng);
+    net.trace(cfg.trace, TRACE_CHURN, host.graph().len() as f64);
+    let mut last_tick = 0.0;
     let source_idx = host
         .graph()
         .dense_index_of(source_id)
         .expect("flooding source is alive");
-    engine.sched.record(TRACE_INFORMED, source_id.raw());
-    engine.inform(host.graph(), source_idx, 0, 0.0);
-    engine.note_completion(host.graph().len(), 0.0);
+    net.sched.record(TRACE_INFORMED, source_id.raw());
+    rumor.inform(&mut net, host.graph(), source_idx, 0, 0.0);
+    rumor.note_completion(host.graph().len(), 0.0);
     if cfg.churn && cfg.horizon >= 0.5 {
-        engine.sched.schedule_at(0.5, Ev::ChurnTick);
+        net.sched.schedule_at(0.5, Ev::ChurnTick);
     }
     if let Some(interval) = plan.anti_entropy {
         if interval <= cfg.horizon {
-            engine.sched.schedule_at(interval, Ev::AntiEntropy);
+            net.sched.schedule_at(interval, Ev::AntiEntropy);
         }
     }
     let event_loop = tracing::span("event-loop");
-    while let Some(time) = engine.sched.peek_time() {
-        if time > cfg.horizon {
-            break;
-        }
-        let (now, event) = engine.sched.pop().expect("peeked event exists");
+    while let Some((now, event)) = net.next(cfg.horizon) {
         match event {
             Ev::Deliver {
                 target,
@@ -620,41 +402,81 @@ pub fn run_async_flooding_faulty<H: FloodHost>(
                 departs,
                 hop,
             } => {
-                if engine.deliver(host.graph(), target, id, from, departs, hop, now) {
-                    engine.note_completion(host.graph().len(), now);
-                }
+                let graph = host.graph();
+                let copy = RumorCopy {
+                    target,
+                    id,
+                    from,
+                    departs,
+                    hop,
+                };
+                let kind = match rumor.deliver(&mut net, graph, copy, now) {
+                    Ok(true) => {
+                        rumor.note_completion(graph.len(), now);
+                        TRACE_INFORMED
+                    }
+                    Ok(false) => TRACE_DUPLICATE,
+                    Err(Refused::Lost) => TRACE_LOST,
+                    Err(Refused::Voided) => TRACE_VOID,
+                    Err(Refused::Blocked) => TRACE_BLOCKED,
+                    Err(Refused::Down) => TRACE_DOWN,
+                };
+                net.sched.record(kind, id.raw());
             }
             Ev::ChurnTick => {
                 host.churn_tick();
                 let graph = host.graph();
-                engine.revalidate(graph);
-                engine.sched.record(TRACE_CHURN, graph.len() as u64);
-                engine.heal_census(graph, now);
-                engine.crash_sweep(graph, now);
-                engine.note_completion(graph.len(), now);
-                engine.last_tick = now;
+                rumor.revalidate(graph);
+                net.sched.record(TRACE_CHURN, graph.len() as u64);
+                heal_census(&mut net, &rumor, graph, last_tick, now);
+                for (target, id, back) in net.crash_sweep(graph, now) {
+                    net.sched.record(TRACE_CRASH, id.raw());
+                    rumor.forget(id);
+                    net.sched.schedule_at(back, Ev::Restart { target, id });
+                }
+                rumor.note_completion(graph.len(), now);
+                last_tick = now;
                 if now + 1.0 <= cfg.horizon {
-                    engine.sched.schedule_at(now + 1.0, Ev::ChurnTick);
+                    net.sched.schedule_at(now + 1.0, Ev::ChurnTick);
                 }
             }
             Ev::Restart { target, id } => {
-                engine.restart(host.graph(), target, id, now);
+                if net.restart(host.graph(), target, id, now) {
+                    net.sched.record(TRACE_RESTART, id.raw());
+                }
             }
             Ev::AntiEntropy => {
-                if engine.completion_time.is_none() {
-                    engine.anti_entropy(host.graph(), now);
+                if rumor.completion.is_none() {
+                    anti_entropy(&mut net, &rumor, host.graph(), now);
                     let interval = plan
                         .anti_entropy
                         .expect("anti-entropy event implies interval");
                     if now + interval <= cfg.horizon {
-                        engine.sched.schedule_at(now + interval, Ev::AntiEntropy);
+                        net.sched.schedule_at(now + interval, Ev::AntiEntropy);
                     }
                 }
             }
         }
     }
     drop(event_loop);
-    engine.into_record(host.graph().len())
+    let alive = host.graph().len();
+    let mut stats = net.take_stats();
+    if let (Some(done), Some(heal)) = (rumor.completion, stats.heal_time) {
+        if done >= heal {
+            stats.time_to_reheal = Some(done - heal);
+        }
+    }
+    AsyncFloodingRecord {
+        informed: rumor.len(),
+        alive,
+        complete: rumor.complete(alive),
+        completion_time: rumor.completion,
+        emergent_rounds: rumor.rounds,
+        trace: net.sched.take_trace(),
+        bins: net.sched.take_bins(),
+        stats,
+        informed_ids: rumor.sorted_ids(),
+    }
 }
 
 #[cfg(test)]

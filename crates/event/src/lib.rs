@@ -45,6 +45,9 @@
 //!   duplication, bounded reordering, scheduled partitions enforced at
 //!   delivery time, and node crash–restart — all on a dedicated RNG
 //!   substream, so an empty plan is stream-identical to no fault layer.
+//! * `wire` (crate-private) — the one message path both loops share:
+//!   egress, link fate, reorder hold and latency draw on send; the four
+//!   delivery gates; crash and restart; the rumor's informed set.
 //! * [`flooding`] — asynchronous flooding: a node forwards when a message
 //!   *arrives*; one event loop over a [`FloodHost`] — any
 //!   [`churn_core::DynamicNetwork`] (churn ticks plug in through the model's
@@ -64,6 +67,7 @@ pub mod raes;
 pub mod sched;
 pub mod stats;
 pub mod trace;
+mod wire;
 
 pub use bandwidth::{BandwidthModel, EgressQueues, Enqueue, OverflowPolicy};
 pub use faults::{CrashRestart, FaultPlan, FaultState, LossModel, PartitionWindow};

@@ -31,18 +31,18 @@ use std::collections::VecDeque;
 use std::mem;
 
 use churn_core::driver::{streaming_round, ChurnHost};
-use churn_core::flooding::TAG_NO_FORWARD;
 use churn_core::ChurnSummary;
-use churn_graph::hashing::{IdHashMap, IdHashSet};
+use churn_graph::hashing::IdHashMap;
 use churn_graph::{DenseHandle, DynamicGraph, NodeId, RemovedNode};
-use churn_stochastic::rng::{seeded_rng, SimRng};
+use churn_stochastic::rng::seeded_rng;
 
-use crate::bandwidth::{BandwidthModel, EgressQueues, Enqueue};
-use crate::faults::{FaultPlan, FaultState};
+use crate::bandwidth::BandwidthModel;
+use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
-use crate::sched::{Scheduler, TraceEvent};
+use crate::sched::TraceEvent;
 use crate::stats::{percentile, EventStats};
 use crate::trace::{TraceBins, TraceMode};
+use crate::wire::{Net, Refused, Rumor, RumorCopy};
 
 /// Trace kind: a churn tick completed (`subject` = alive count after it).
 pub const TRACE_CHURN: u16 = 10;
@@ -221,6 +221,7 @@ pub struct AsyncRaesRecord {
 
 /// One scheduled event. `departs` on the message events carries the
 /// departure instant for the fault layer's crashed-sender check.
+#[derive(Clone, Copy)]
 enum Ev {
     /// One streaming churn round (death + birth) plus the retry sweep.
     ChurnTick,
@@ -249,13 +250,36 @@ enum Ev {
     Flood {
         target: DenseHandle,
         id: NodeId,
-        from: u64,
+        from: NodeId,
         departs: f64,
         hop: u32,
     },
     /// A crashed node comes back up (identity kept, pending repairs lost
     /// at the crash are rediscovered by rescanning its out-slots).
     Restart { target: DenseHandle, id: NodeId },
+}
+
+// Every queued event pays for each byte of `Ev`: keep rumor copies in a
+// struct variant, which packs the tag into the padding.
+const _: () = assert!(std::mem::size_of::<Ev>() == 48);
+
+impl From<RumorCopy> for Ev {
+    fn from(copy: RumorCopy) -> Self {
+        let RumorCopy {
+            target,
+            id,
+            from,
+            departs,
+            hop,
+        } = copy;
+        Ev::Flood {
+            target,
+            id,
+            from,
+            departs,
+            hop,
+        }
+    }
 }
 
 /// A dangling out-slot awaiting repair.
@@ -278,11 +302,7 @@ struct Raes<'p> {
     cfg: AsyncRaesConfig,
     cap: usize,
     graph: DynamicGraph,
-    rng: SimRng,
-    sched: Scheduler<Ev>,
-    egress: EgressQueues,
-    stats: EventStats,
-    faults: FaultState<'p>,
+    net: Net<'p, Ev>,
     order: VecDeque<(NodeId, u32)>,
     next_id: u64,
     pending: Vec<PendingSlot>,
@@ -302,11 +322,7 @@ struct Raes<'p> {
     phantoms: u64,
     repair_times: Vec<f64>,
     max_in_degree: usize,
-    // Flood state.
-    informed: IdHashSet<u64>,
-    flood_entries: Vec<(DenseHandle, NodeId)>,
-    flood_completion: Option<f64>,
-    flood_rounds: u32,
+    rumor: Rumor,
     flood_started: bool,
 }
 
@@ -334,7 +350,7 @@ impl ChurnHost for Raes<'_> {
     }
 
     fn kill(&mut self, victim: NodeId, victim_idx: u32, time: f64) {
-        self.egress.forget(victim.raw());
+        self.net.egress.forget(victim.raw());
         let mut removed = mem::take(&mut self.removal_scratch);
         self.graph
             .remove_node_into(victim_idx, &mut removed)
@@ -365,26 +381,17 @@ impl ChurnHost for Raes<'_> {
 
 impl<'p> Raes<'p> {
     fn new(cfg: AsyncRaesConfig, plan: &'p FaultPlan, seed: u64) -> Self {
-        let rng = seeded_rng(seed);
         // Start empty and spawn the initial population through the same
         // join path churn uses: every node's d connect requests are capped
         // repairs, so the in-degree cap holds from the very first edge (the
         // raw random-graph generator would not respect it).
         let graph = DynamicGraph::with_capacity(cfg.n + 16);
-        let mut sched = Scheduler::new();
-        match cfg.trace {
-            TraceMode::Off => {}
-            TraceMode::Full => sched.enable_trace(),
-            TraceMode::Bins => sched.enable_bins(TRACE_CHURN, cfg.n as f64),
-        }
+        let mut net = Net::new(cfg.latency, cfg.bandwidth, plan, seed, seeded_rng(seed));
+        net.trace(cfg.trace, TRACE_CHURN, cfg.n as f64);
         let mut model = Raes {
             cap: cfg.in_degree_cap(),
             graph,
-            rng,
-            sched,
-            egress: EgressQueues::new(cfg.bandwidth),
-            stats: EventStats::new(),
-            faults: FaultState::new(plan, seed),
+            net,
             order: VecDeque::with_capacity(cfg.n + 1),
             next_id: 0,
             pending: Vec::new(),
@@ -397,10 +404,7 @@ impl<'p> Raes<'p> {
             phantoms: 0,
             repair_times: Vec::new(),
             max_in_degree: 0,
-            informed: IdHashSet::default(),
-            flood_entries: Vec::new(),
-            flood_completion: None,
-            flood_rounds: 0,
+            rumor: Rumor::default(),
             flood_started: false,
             cfg,
         };
@@ -486,7 +490,7 @@ impl<'p> Raes<'p> {
     fn backoff_timeout(&mut self, retries: u32) -> f64 {
         let base = self.cfg.retry_timeout * self.cfg.backoff_factor.powi(retries as i32);
         if self.cfg.backoff_jitter > 0.0 {
-            let u: f64 = rand::Rng::gen(&mut self.rng);
+            let u: f64 = rand::Rng::gen(&mut self.net.rng);
             base * (1.0 + self.cfg.backoff_jitter * (2.0 * u - 1.0))
         } else {
             base
@@ -506,7 +510,7 @@ impl<'p> Raes<'p> {
         };
         let Some(target_idx) = self
             .graph
-            .sample_member_excluding(&mut self.rng, owner.index)
+            .sample_member_excluding(&mut self.net.rng, owner.index)
         else {
             return; // nobody else alive; retry at a later sweep
         };
@@ -518,51 +522,22 @@ impl<'p> Raes<'p> {
             .graph
             .id_at(target_idx)
             .expect("sampled members are alive");
-        match self.egress.enqueue(owner_id.raw(), now) {
-            Enqueue::Dropped => {
-                self.stats.messages_dropped += 1;
-                let p = &mut self.pending[i];
-                p.in_flight = false;
-                p.deadline = now + timeout;
-            }
-            Enqueue::Sent {
+        let sent = self
+            .net
+            .send(owner_id, target_id, now, |departs| Ev::Request {
+                owner,
+                owner_id,
+                slot,
+                target,
+                target_id,
                 departs,
-                queue_delay,
-            } => {
-                self.stats.messages_sent += 1;
-                self.stats.record_queue_delay(queue_delay);
-                self.repair_requests += 1;
-                let copies = self.faults.copies(owner_id.raw(), target_id.raw());
-                if copies == 0 {
-                    self.stats.messages_fault_lost += 1;
-                } else {
-                    if copies == 2 {
-                        self.stats.messages_duplicated += 1;
-                    }
-                    for _ in 0..copies {
-                        let held = self.faults.reorder_delay();
-                        if held > 0.0 {
-                            self.stats.messages_reordered += 1;
-                        }
-                        let arrival = departs + self.cfg.latency.sample(&mut self.rng) + held;
-                        self.sched.schedule_at(
-                            arrival,
-                            Ev::Request {
-                                owner,
-                                owner_id,
-                                slot,
-                                target,
-                                target_id,
-                                departs,
-                            },
-                        );
-                    }
-                }
-                let p = &mut self.pending[i];
-                p.in_flight = true;
-                p.deadline = now + timeout;
-            }
+            });
+        if sent.is_some() {
+            self.repair_requests += 1;
         }
+        let p = &mut self.pending[i];
+        p.in_flight = sent.is_some();
+        p.deadline = now + timeout;
     }
 
     /// Drops dead owners from the pending list, then (re)sends every slot
@@ -577,7 +552,7 @@ impl<'p> Raes<'p> {
         let mut i = 0;
         while i < self.pending.len() {
             let p = &self.pending[i];
-            if self.faults.is_down(p.owner_id.raw()) {
+            if self.net.faults.is_down(p.owner_id.raw()) {
                 i += 1;
                 continue;
             }
@@ -585,14 +560,14 @@ impl<'p> Raes<'p> {
             if timed_out {
                 if p.retries >= self.cfg.retry_budget {
                     let shed = self.pending_swap_remove(i);
-                    self.stats.retries_exhausted += 1;
-                    self.stats.record_repair_retries(shed.retries);
-                    self.sched.record(TRACE_SHED, shed.owner_id.raw());
+                    self.net.stats.retries_exhausted += 1;
+                    self.net.stats.record_repair_retries(shed.retries);
+                    self.net.sched.record(TRACE_SHED, shed.owner_id.raw());
                     continue; // swap_remove moved a new entry into i
                 }
                 self.pending[i].retries += 1;
                 let timeout = self.backoff_timeout(self.pending[i].retries);
-                self.stats.record_retransmit(timeout);
+                self.net.stats.record_retransmit(timeout);
                 self.send_request_with_timeout(i, now, timeout);
             } else if !p.in_flight {
                 self.send_request(i, now);
@@ -612,29 +587,17 @@ impl<'p> Raes<'p> {
         target_id: NodeId,
         request_departs: f64,
     ) {
-        self.sched.record(TRACE_REQUEST, target_id.raw());
-        if !self.graph.is_current(target) {
-            self.stats.messages_lost += 1;
-            self.phantoms += 1;
+        self.net.sched.record(TRACE_REQUEST, target_id.raw());
+        // The owner's ack-timeout recovers every refused request.
+        let admitted = self
+            .net
+            .admit(&self.graph, target, target_id, owner_id, request_departs);
+        if let Err(refused) = admitted {
+            if refused == Refused::Lost {
+                self.phantoms += 1; // the request reached a dead target
+            }
             return;
         }
-        // Fault gates (all no-ops under an empty plan): a request whose
-        // departure fell in the owner's down window was still queued at the
-        // crash; partitions cut the link; a crashed target cannot answer.
-        // The owner's ack-timeout recovers every one of these.
-        if self.faults.was_down_at(owner_id.raw(), request_departs) {
-            self.stats.messages_crash_voided += 1;
-            return;
-        }
-        if self.faults.blocked(now, owner_id.raw(), target_id.raw()) {
-            self.stats.messages_blocked += 1;
-            return;
-        }
-        if self.faults.is_down(target_id.raw()) {
-            self.stats.messages_to_down += 1;
-            return;
-        }
-        self.stats.messages_delivered += 1;
         let in_degree = self
             .graph
             .in_request_count_at(target.index)
@@ -645,52 +608,21 @@ impl<'p> Raes<'p> {
         } else {
             self.rejections += 1;
         }
-        match self.egress.enqueue(target_id.raw(), now) {
-            Enqueue::Dropped => {
-                self.stats.messages_dropped += 1;
-                if accept {
-                    // The accept never left the NIC; the owner will time out.
-                    self.release_reservation(target_id.raw());
-                }
-            }
-            Enqueue::Sent {
+        let sent = self
+            .net
+            .send(target_id, owner_id, now, |departs| Ev::Reply {
+                owner,
+                owner_id,
+                slot,
+                target,
+                target_id,
+                accept,
                 departs,
-                queue_delay,
-            } => {
-                self.stats.messages_sent += 1;
-                self.stats.record_queue_delay(queue_delay);
-                let copies = self.faults.copies(target_id.raw(), owner_id.raw());
-                if copies == 0 {
-                    self.stats.messages_fault_lost += 1;
-                    if accept {
-                        // The accept died on the wire; the owner times out.
-                        self.release_reservation(target_id.raw());
-                    }
-                    return;
-                }
-                if copies == 2 {
-                    self.stats.messages_duplicated += 1;
-                }
-                for _ in 0..copies {
-                    let held = self.faults.reorder_delay();
-                    if held > 0.0 {
-                        self.stats.messages_reordered += 1;
-                    }
-                    let arrival = departs + self.cfg.latency.sample(&mut self.rng) + held;
-                    self.sched.schedule_at(
-                        arrival,
-                        Ev::Reply {
-                            owner,
-                            owner_id,
-                            slot,
-                            target,
-                            target_id,
-                            accept,
-                            departs,
-                        },
-                    );
-                }
-            }
+            });
+        if accept && sent.unwrap_or(0) == 0 {
+            // The accept never reached the wire or died on it; the owner
+            // times out.
+            self.release_reservation(target_id.raw());
         }
     }
 
@@ -706,27 +638,16 @@ impl<'p> Raes<'p> {
         accept: bool,
         reply_departs: f64,
     ) {
-        self.sched.record(TRACE_REPLY, target_id.raw());
+        self.net.sched.record(TRACE_REPLY, target_id.raw());
         if accept {
             self.release_reservation(target_id.raw());
         }
-        if !self.graph.is_current(owner) {
-            self.stats.messages_lost += 1;
+        let admitted = self
+            .net
+            .admit(&self.graph, owner, owner_id, target_id, reply_departs);
+        if admitted.is_err() {
             return;
         }
-        if self.faults.was_down_at(target_id.raw(), reply_departs) {
-            self.stats.messages_crash_voided += 1;
-            return;
-        }
-        if self.faults.blocked(now, target_id.raw(), owner_id.raw()) {
-            self.stats.messages_blocked += 1;
-            return;
-        }
-        if self.faults.is_down(owner_id.raw()) {
-            self.stats.messages_to_down += 1;
-            return;
-        }
-        self.stats.messages_delivered += 1;
         let Some(i) = self.pending_position(owner, slot) else {
             return; // slot already repaired by a retransmitted request
         };
@@ -735,7 +656,9 @@ impl<'p> Raes<'p> {
                 .set_out_slot_at(owner.index, slot as usize, target.index)
                 .expect("owner and target are alive and the slot exists");
             let since = self.pending[i].since;
-            self.stats.record_repair_retries(self.pending[i].retries);
+            self.net
+                .stats
+                .record_repair_retries(self.pending[i].retries);
             self.pending_swap_remove(i);
             self.repairs_completed += 1;
             self.repair_times.push(now - since);
@@ -744,107 +667,11 @@ impl<'p> Raes<'p> {
                 .in_request_count_at(target.index)
                 .expect("target is alive");
             self.max_in_degree = self.max_in_degree.max(in_degree);
-            self.sched.record(TRACE_REPAIRED, target_id.raw());
+            self.net.sched.record(TRACE_REPAIRED, target_id.raw());
         } else {
             // Rejected, or the accepted target died in flight: try a fresh
             // target right away.
             self.send_request(i, now);
-        }
-    }
-
-    /// Marks `idx` informed and forwards the rumor along incident links,
-    /// through the shared egress queues.
-    fn flood_inform(&mut self, idx: u32, hop: u32, now: f64) {
-        let id = self.graph.id_at(idx).expect("informed nodes are alive");
-        let handle = self.graph.handle_at(idx).expect("informed nodes are alive");
-        self.informed.insert(id.raw());
-        self.flood_entries.push((handle, id));
-        self.flood_rounds = self.flood_rounds.max(hop);
-        if self.graph.tags_enabled() && self.graph.tag_at(idx) & TAG_NO_FORWARD != 0 {
-            return;
-        }
-        let targets: Vec<(DenseHandle, NodeId)> = self
-            .graph
-            .neighbor_indices_at(idx)
-            .map(|t| {
-                (
-                    self.graph.handle_at(t).expect("neighbors are alive"),
-                    self.graph.id_at(t).expect("neighbors are alive"),
-                )
-            })
-            .collect();
-        for (target, target_id) in targets {
-            match self.egress.enqueue(id.raw(), now) {
-                Enqueue::Dropped => self.stats.messages_dropped += 1,
-                Enqueue::Sent {
-                    departs,
-                    queue_delay,
-                } => {
-                    self.stats.messages_sent += 1;
-                    self.stats.record_queue_delay(queue_delay);
-                    let copies = self.faults.copies(id.raw(), target_id.raw());
-                    if copies == 0 {
-                        self.stats.messages_fault_lost += 1;
-                        continue;
-                    }
-                    if copies == 2 {
-                        self.stats.messages_duplicated += 1;
-                    }
-                    for _ in 0..copies {
-                        let held = self.faults.reorder_delay();
-                        if held > 0.0 {
-                            self.stats.messages_reordered += 1;
-                        }
-                        let arrival = departs + self.cfg.latency.sample(&mut self.rng) + held;
-                        self.sched.schedule_at(
-                            arrival,
-                            Ev::Flood {
-                                target,
-                                id: target_id,
-                                from: id.raw(),
-                                departs,
-                                hop: hop + 1,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_flood(
-        &mut self,
-        now: f64,
-        target: DenseHandle,
-        id: NodeId,
-        from: u64,
-        departs: f64,
-        hop: u32,
-    ) {
-        if !self.graph.is_current(target) {
-            self.stats.messages_lost += 1;
-            return;
-        }
-        if self.faults.was_down_at(from, departs) {
-            self.stats.messages_crash_voided += 1;
-            return;
-        }
-        if self.faults.blocked(now, from, id.raw()) {
-            self.stats.messages_blocked += 1;
-            return;
-        }
-        if self.faults.is_down(id.raw()) {
-            self.stats.messages_to_down += 1;
-            return;
-        }
-        self.stats.messages_delivered += 1;
-        if self.informed.contains(&id.raw()) {
-            return;
-        }
-        self.sched.record(TRACE_FLOOD, id.raw());
-        self.flood_inform(target.index, hop, now);
-        if self.flood_completion.is_none() && self.flood_entries.len() == self.graph.len() {
-            self.flood_completion = Some(now);
         }
     }
 
@@ -853,21 +680,13 @@ impl<'p> Raes<'p> {
         let mut summary = ChurnSummary::new();
         streaming_round(self, &mut order, self.cfg.n, now, &mut summary);
         self.order = order;
-        self.sched.record(TRACE_CHURN, self.graph.len() as u64);
+        self.net.sched.record(TRACE_CHURN, self.graph.len() as u64);
         // Flood marks of dead nodes retire with them.
-        let graph = &self.graph;
-        let informed = &mut self.informed;
-        self.flood_entries.retain(|&(handle, id)| {
-            let alive = graph.is_current(handle);
-            if !alive {
-                informed.remove(&id.raw());
-            }
-            alive
-        });
+        self.rumor.revalidate(&self.graph);
         self.crash_sweep(now);
         self.sweep_pending(now);
         if now + 1.0 <= self.cfg.horizon {
-            self.sched.schedule_at(now + 1.0, Ev::ChurnTick);
+            self.net.sched.schedule_at(now + 1.0, Ev::ChurnTick);
         }
     }
 
@@ -875,33 +694,15 @@ impl<'p> Raes<'p> {
     /// pending repairs and its flood mark, keeps its identity, and restarts
     /// after a drawn downtime (repairs are rediscovered then).
     fn crash_sweep(&mut self, now: f64) {
-        let crashes = self.faults.crash_count(self.graph.len());
-        for _ in 0..crashes {
-            let Some(idx) = self.graph.sample_member(self.faults.rng()) else {
-                break;
-            };
-            let id = self.graph.id_at(idx).expect("sampled members are alive");
-            if self.faults.is_down(id.raw()) {
-                continue; // already down — the crash lands on a dead machine
-            }
-            let downtime = self.faults.downtime();
-            self.faults.mark_down(id.raw(), now);
-            self.sched.record(TRACE_CRASH, id.raw());
-            self.egress.forget(id.raw());
+        for (target, id, back) in self.net.crash_sweep(&self.graph, now) {
+            self.net.sched.record(TRACE_CRASH, id.raw());
             // In-flight protocol state is lost: pending repairs it owned
             // and in-flight accepts reserved against it.
             self.pending.retain(|p| p.owner_id != id);
             self.reindex_pending();
             self.reserved.remove(&id.raw());
-            if self.informed.remove(&id.raw()) {
-                self.flood_entries.retain(|&(_, entry_id)| entry_id != id);
-            }
-            let target = self
-                .graph
-                .handle_at(idx)
-                .expect("sampled members are alive");
-            self.sched
-                .schedule_at(now + downtime, Ev::Restart { target, id });
+            self.rumor.forget(id);
+            self.net.sched.schedule_at(back, Ev::Restart { target, id });
         }
     }
 
@@ -909,14 +710,10 @@ impl<'p> Raes<'p> {
     /// rediscovers its dangling out-slots, re-triggering RAES repair for
     /// the state the crash destroyed.
     fn on_restart(&mut self, now: f64, target: DenseHandle, id: NodeId) {
-        if !self.graph.is_current(target) {
-            self.faults.forget(id.raw());
+        if !self.net.restart(&self.graph, target, id, now) {
             return;
         }
-        if !self.faults.mark_up(id.raw(), now) {
-            return;
-        }
-        self.sched.record(TRACE_RESTART, id.raw());
+        self.net.sched.record(TRACE_RESTART, id.raw());
         let dangling: Vec<u32> = self
             .graph
             .out_slot_targets_at(target.index)
@@ -946,19 +743,15 @@ impl<'p> Raes<'p> {
         // Send the initial population's connect requests.
         self.sweep_pending(0.0);
         if self.cfg.horizon >= 1.0 {
-            self.sched.schedule_at(1.0, Ev::ChurnTick);
+            self.net.sched.schedule_at(1.0, Ev::ChurnTick);
         }
         if let Some(at) = self.cfg.flood_at {
             if at <= self.cfg.horizon {
-                self.sched.schedule_at(at, Ev::FloodStart);
+                self.net.sched.schedule_at(at, Ev::FloodStart);
             }
         }
         let event_loop = tracing::span("event-loop");
-        while let Some(time) = self.sched.peek_time() {
-            if time > self.cfg.horizon {
-                break;
-            }
-            let (now, event) = self.sched.pop().expect("peeked event exists");
+        while let Some((now, event)) = self.net.next(self.cfg.horizon) {
             match event {
                 Ev::ChurnTick => self.on_churn(now),
                 Ev::Request {
@@ -984,8 +777,9 @@ impl<'p> Raes<'p> {
                     self.flood_started = true;
                     let &(source_id, source_idx) =
                         self.order.back().expect("network is never empty");
-                    self.sched.record(TRACE_FLOOD, source_id.raw());
-                    self.flood_inform(source_idx, 0, now);
+                    self.net.sched.record(TRACE_FLOOD, source_id.raw());
+                    self.rumor
+                        .inform(&mut self.net, &self.graph, source_idx, 0, now);
                 }
                 Ev::Flood {
                     target,
@@ -993,7 +787,19 @@ impl<'p> Raes<'p> {
                     from,
                     departs,
                     hop,
-                } => self.on_flood(now, target, id, from, departs, hop),
+                } => {
+                    let copy = RumorCopy {
+                        target,
+                        id,
+                        from,
+                        departs,
+                        hop,
+                    };
+                    if let Ok(true) = self.rumor.deliver(&mut self.net, &self.graph, copy, now) {
+                        self.net.sched.record(TRACE_FLOOD, id.raw());
+                        self.rumor.note_completion(self.graph.len(), now);
+                    }
+                }
                 Ev::Restart { target, id } => self.on_restart(now, target, id),
             }
         }
@@ -1002,11 +808,6 @@ impl<'p> Raes<'p> {
     }
 
     fn finish(mut self) -> AsyncRaesRecord {
-        self.stats.events_processed = self.sched.processed();
-        self.stats.peak_backlog = self.egress.peak_backlog() as u64;
-        self.stats.sim_time = self.sched.now();
-        self.stats.crashes = self.faults.crashes();
-        self.stats.restarts = self.faults.restarts();
         let graph = &self.graph;
         self.pending.retain(|p| graph.is_current(p.owner));
         let alive = self.graph.len();
@@ -1016,10 +817,10 @@ impl<'p> Raes<'p> {
             self.repair_times.iter().sum::<f64>() / self.repair_times.len() as f64
         };
         let flood = self.flood_started.then_some(FloodSummary {
-            informed: self.flood_entries.len(),
-            complete: !self.flood_entries.is_empty() && self.flood_entries.len() == alive,
-            completion_time: self.flood_completion,
-            emergent_rounds: self.flood_rounds,
+            informed: self.rumor.len(),
+            complete: self.rumor.complete(alive),
+            completion_time: self.rumor.completion,
+            emergent_rounds: self.rumor.rounds,
         });
         AsyncRaesRecord {
             repairs_completed: self.repairs_completed,
@@ -1033,9 +834,9 @@ impl<'p> Raes<'p> {
             in_degree_cap: self.cap,
             alive,
             flood,
-            trace: self.sched.take_trace(),
-            bins: self.sched.take_bins(),
-            stats: self.stats,
+            stats: self.net.take_stats(),
+            trace: self.net.sched.take_trace(),
+            bins: self.net.sched.take_bins(),
         }
     }
 }
@@ -1112,7 +913,7 @@ mod tests {
         use crate::faults::{CrashRestart, LossModel};
         // The acceptance regime: 30% i.i.d. loss plus crash–restart. The
         // run must terminate via completion or recorded shed repairs —
-        // never wedge — with backoff/retransmit histograms populated.
+        // never wedge — with backoff and retransmit statistics populated.
         let mut cfg = quick_cfg();
         cfg.backoff_factor = 2.0;
         cfg.retry_budget = 4;
@@ -1130,7 +931,10 @@ mod tests {
             record.stats.p99_backoff() > cfg.retry_timeout,
             "exponential backoff grows past the base timeout"
         );
-        assert!(record.stats.retransmit_histogram(8).is_some());
+        assert!(
+            record.stats.max_retransmits() > 0,
+            "a resolved repair retried"
+        );
         assert!(record.stats.crashes > 0, "crash model fired");
         assert!(record.stats.restarts > 0, "victims came back");
         assert!(record.max_in_degree <= record.in_degree_cap);
@@ -1151,9 +955,9 @@ mod tests {
             record.stats.retries_exhausted > 0,
             "a 90%-loss wire with one retry must shed repairs"
         );
-        // Shed repairs are recorded in the retry histogram alongside
-        // completed ones.
-        assert!(record.stats.retransmit_samples() > 0);
+        // Shed repairs are recorded in the retry statistics alongside
+        // completed ones: a shed repair spent its whole one-retry budget.
+        assert_eq!(record.stats.max_retransmits(), cfg.retry_budget);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The queue itself provides the total event order — earliest timestamp
 //! first, ties broken by a monotone schedule-time sequence number (FIFO), so
 //! no two events ever compare equal. This wrapper adds what the simulation
-//! core needs on top: the processed-event counter, `schedule_after`
-//! convenience, and an optional trace recorder that the determinism suite
-//! uses to pin "same seed ⇒ identical event trace".
+//! core needs on top: the processed-event counter and an optional trace
+//! recorder that the determinism suite uses to pin "same seed ⇒ identical
+//! event trace".
 
 use churn_stochastic::EventQueue;
 
@@ -113,12 +113,6 @@ impl<E> Scheduler<E> {
         self.processed
     }
 
-    /// Live events still scheduled.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics
@@ -126,16 +120,6 @@ impl<E> Scheduler<E> {
     /// Panics if `time` is NaN or lies before [`Self::now`].
     pub fn schedule_at(&mut self, time: f64, payload: E) {
         self.queue.schedule(time, payload);
-    }
-
-    /// Schedules `payload` `delay` after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is NaN or negative.
-    pub fn schedule_after(&mut self, delay: f64, payload: E) {
-        assert!(delay >= 0.0, "event delay must be non-negative");
-        self.queue.schedule(self.queue.now() + delay, payload);
     }
 
     /// Timestamp of the next event without popping it.

@@ -1,7 +1,7 @@
 //! Deterministic load counters of one event-driven run.
 //!
-//! Sample sets that only feed order statistics (percentiles, maxima,
-//! histograms) are held as sorted multisets — `BTreeMap<key, count>` — not
+//! Sample sets that only feed order statistics (percentiles, maxima, means
+//! of integer counts) are held as sorted multisets — `BTreeMap<key, count>` — not
 //! as per-sample `Vec`s: quantized delay and backoff values repeat heavily,
 //! so a run recording tens of millions of samples stores a few hundred
 //! distinct keys. The nearest-rank percentile walks the multiset in key
@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use churn_stochastic::{Histogram, OnlineStats};
+use churn_stochastic::OnlineStats;
 
 /// Maps a finite `f64` onto a `u64` whose unsigned order matches the float
 /// order (standard sign-flip trick), so a `BTreeMap` keyed by it iterates
@@ -108,12 +108,12 @@ pub struct EventStats {
     /// Sorted multiset of queue delays (percentile source).
     delays: BTreeMap<u64, u64>,
     /// Sorted multiset of backoff timeouts chosen at retransmissions
-    /// (percentile and histogram source).
+    /// (percentile source).
     backoff_delays: BTreeMap<u64, u64>,
     /// Retransmissions with a recorded backoff timeout.
     backoff_samples: u64,
     /// Multiset of retransmit counts per resolved repair — completed or
-    /// shed (histogram source).
+    /// shed (mean and maximum source).
     retransmit_counts: BTreeMap<u32, u64>,
     /// Resolved repairs with a recorded retransmit count.
     repair_samples: u64,
@@ -131,12 +131,6 @@ impl EventStats {
     pub fn record_queue_delay(&mut self, delay: f64) {
         self.delay.push(delay);
         *self.delays.entry(order_key(delay)).or_insert(0) += 1;
-    }
-
-    /// Number of recorded queue delays (= messages that entered a queue).
-    #[must_use]
-    pub fn queue_samples(&self) -> usize {
-        self.delay.count() as usize
     }
 
     /// Mean egress-queue delay in simulated time (0 with no samples).
@@ -157,23 +151,6 @@ impl EventStats {
         multiset_percentile(&self.delays, self.delay.count(), 0.99)
     }
 
-    /// Messages still in flight (sent but not yet resolved) when the run
-    /// ended — undelivered load at the horizon. Duplicated copies add to
-    /// the in-flight side; every fault-layer outcome (wire loss, partition
-    /// block, down target, crash-voided departure) resolves a message.
-    /// Saturating, because anti-entropy deliveries bypass the egress queues
-    /// and can push `messages_delivered` past `messages_sent`.
-    #[must_use]
-    pub fn messages_in_flight(&self) -> u64 {
-        (self.messages_sent + self.messages_duplicated)
-            .saturating_sub(self.messages_delivered)
-            .saturating_sub(self.messages_lost)
-            .saturating_sub(self.messages_fault_lost)
-            .saturating_sub(self.messages_blocked)
-            .saturating_sub(self.messages_to_down)
-            .saturating_sub(self.messages_crash_voided)
-    }
-
     /// Records one retransmission and the backoff timeout it was issued
     /// with.
     pub fn record_retransmit(&mut self, timeout: f64) {
@@ -183,16 +160,11 @@ impl EventStats {
     }
 
     /// Records the retransmit count of one resolved repair (completed or
-    /// shed) — the source of [`Self::retransmit_histogram`].
+    /// shed) — the source of [`Self::mean_retransmits`] and
+    /// [`Self::max_retransmits`].
     pub fn record_repair_retries(&mut self, retries: u32) {
         *self.retransmit_counts.entry(retries).or_insert(0) += 1;
         self.repair_samples += 1;
-    }
-
-    /// Number of resolved repairs with a recorded retransmit count.
-    #[must_use]
-    pub fn retransmit_samples(&self) -> usize {
-        self.repair_samples as usize
     }
 
     /// Mean retransmits per resolved repair (0 with no samples — never
@@ -222,45 +194,11 @@ impl EventStats {
             .unwrap_or(0)
     }
 
-    /// Histogram of retransmits per resolved repair; `None` with no
-    /// samples (an empty sample set has no well-defined bin range).
-    #[must_use]
-    pub fn retransmit_histogram(&self, bins: usize) -> Option<Histogram> {
-        if self.repair_samples == 0 || bins == 0 {
-            return None;
-        }
-        let high = f64::from(self.max_retransmits()) + 1.0;
-        let mut hist = Histogram::new(0.0, high, bins);
-        for (&retries, &count) in &self.retransmit_counts {
-            for _ in 0..count {
-                hist.push(f64::from(retries));
-            }
-        }
-        Some(hist)
-    }
-
     /// 99th-percentile backoff timeout across all retransmissions (0 with
     /// no samples).
     #[must_use]
     pub fn p99_backoff(&self) -> f64 {
         multiset_percentile(&self.backoff_delays, self.backoff_samples, 0.99)
-    }
-
-    /// Histogram of backoff timeouts; `None` with no retransmissions.
-    #[must_use]
-    pub fn backoff_histogram(&self, bins: usize) -> Option<Histogram> {
-        if self.backoff_samples == 0 || bins == 0 {
-            return None;
-        }
-        let max = key_value(*self.backoff_delays.keys().next_back().expect("samples > 0"));
-        let high = if max > 0.0 { max } else { 1.0 };
-        let mut hist = Histogram::new(0.0, high, bins);
-        for (&key, &count) in &self.backoff_delays {
-            for _ in 0..count {
-                hist.push(key_value(key));
-            }
-        }
-        Some(hist)
     }
 
     /// Redundant-delivery overhead: delivered messages per informed node in
@@ -281,8 +219,7 @@ impl EventStats {
 /// Exact percentile of a sample set by sorting a copy (nearest-rank). All
 /// samples must be finite. Returns 0 for an empty set — the NaN-free
 /// convention every `EventStats` accessor follows, so 100%-loss runs (no
-/// delivered sample anywhere) still serialise to clean records. Use
-/// [`try_percentile`] to distinguish "no samples" from a true zero.
+/// delivered sample anywhere) still serialise to clean records.
 #[must_use]
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     try_percentile(samples, q).unwrap_or(0.0)
@@ -290,8 +227,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 
 /// Exact nearest-rank percentile, or `None` for an empty sample set or a
 /// non-finite `q`. Never returns NaN.
-#[must_use]
-pub fn try_percentile(samples: &[f64], q: f64) -> Option<f64> {
+fn try_percentile(samples: &[f64], q: f64) -> Option<f64> {
     if samples.is_empty() || !q.is_finite() {
         return None;
     }
@@ -327,8 +263,6 @@ mod tests {
         assert_eq!(stats.max_retransmits(), 0);
         assert_eq!(stats.p99_backoff(), 0.0);
         assert_eq!(stats.redundancy_overhead(), 0.0);
-        assert!(stats.retransmit_histogram(8).is_none());
-        assert!(stats.backoff_histogram(8).is_none());
         assert_eq!(try_percentile(&[], 0.99), None);
         assert_eq!(try_percentile(&[1.0], f64::NAN), None);
         for value in [
@@ -351,15 +285,15 @@ mod tests {
                 stats.record_retransmit(timeout);
             }
         }
-        assert_eq!(stats.retransmit_samples(), 4);
         assert_eq!(stats.retransmits, 3);
         assert_eq!(stats.max_retransmits(), 5);
+        // (0 + 2 + 2 + 5) / 4: every resolved repair counts, zero retries too.
         assert!((stats.mean_retransmits() - 2.25).abs() < 1e-12);
-        let hist = stats.retransmit_histogram(6).unwrap();
-        assert_eq!(hist.total(), 4);
-        let backoff = stats.backoff_histogram(4).unwrap();
-        assert_eq!(backoff.total(), 3);
+        // Nearest rank 0.99 · 3 → the third of the backoffs 8, 16, 32.
         assert_eq!(stats.p99_backoff(), 32.0);
+        stats.record_repair_retries(1);
+        assert!((stats.mean_retransmits() - 2.0).abs() < 1e-12);
+        assert_eq!(stats.max_retransmits(), 5);
     }
 
     #[test]
@@ -379,7 +313,7 @@ mod tests {
             stats.p99_queue_delay().to_bits(),
             percentile(&samples, 0.99).to_bits()
         );
-        assert_eq!(stats.queue_samples(), samples.len());
+        assert_eq!(stats.delay.count(), samples.len() as u64);
     }
 
     #[test]
@@ -389,12 +323,8 @@ mod tests {
         for d in [1.0, 2.0, 3.0] {
             stats.record_queue_delay(d);
         }
-        assert_eq!(stats.queue_samples(), 3);
+        assert_eq!(stats.delay.count(), 3);
         assert!((stats.mean_queue_delay() - 2.0).abs() < 1e-12);
         assert_eq!(stats.p99_queue_delay(), 3.0);
-        stats.messages_sent = 10;
-        stats.messages_delivered = 6;
-        stats.messages_lost = 1;
-        assert_eq!(stats.messages_in_flight(), 3);
     }
 }

@@ -2412,6 +2412,30 @@ mod tests {
     }
 
     #[test]
+    fn crash_rates_above_one_per_node_fail_validation() {
+        // Rates past 1 overflowed the crash-count draw (1e308) or spun a
+        // tick through ~1e12 victims per alive node; both layers refuse them.
+        for rate in [1.5, 1e12, 1e308] {
+            let spec = FaultSpec {
+                crash: Some(CrashRestart {
+                    rate,
+                    downtime: LatencyModel::Fixed(1.0),
+                }),
+                ..FaultSpec::none()
+            };
+            assert!(spec.resolve().validate().is_err(), "plan rate {rate}");
+            assert!(spec.validate().is_err(), "spec rate {rate}");
+        }
+        let mut spec = FaultSpec::none();
+        spec.crash = Some(CrashRestart {
+            rate: 1.0,
+            downtime: LatencyModel::Fixed(1.0),
+        });
+        spec.validate()
+            .expect("one crash per node per unit time is allowed");
+    }
+
+    #[test]
     fn non_default_raes_knobs_shift_the_seed() {
         let s = tiny_scenario();
         let base = CellSpec {
