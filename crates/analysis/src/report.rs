@@ -79,15 +79,14 @@ pub fn scenario_report(
 }
 
 /// Renders per-point wall-clock throughput from the `.load.jsonl` side
-/// file: records grouped by `(net, n, d, victim)` in first-appearance
-/// order, with total wall time, total work units and the aggregate rate
+/// file: records grouped by [`load_key`] in first-appearance order, with total wall time, total work units and the aggregate rate
 /// (total units over total seconds — the mean of per-cell rates would
 /// over-weight short cells). When any record carries a phase breakdown the
 /// dominant phase and its share of the group's phase time are appended.
 fn throughput_table(scenario: &str, loads: &[LoadRecord]) -> Table {
     let mut groups: Vec<(String, usize, usize, String)> = Vec::new();
     for load in loads {
-        let key = (load.net.clone(), load.n, load.d, load.victim.clone());
+        let key = load_key(load);
         if !groups.contains(&key) {
             groups.push(key);
         }
@@ -112,10 +111,7 @@ fn throughput_table(scenario: &str, loads: &[LoadRecord]) -> Table {
         header,
     );
     for key in &groups {
-        let rows: Vec<&LoadRecord> = loads
-            .iter()
-            .filter(|l| l.net == key.0 && l.n == key.1 && l.d == key.2 && l.victim == key.3)
-            .collect();
+        let rows: Vec<&LoadRecord> = loads.iter().filter(|l| load_key(l) == *key).collect();
         let wall_s: f64 = rows.iter().map(|l| l.wall_s).sum();
         let units: f64 = rows.iter().map(|l| l.units).sum();
         let rate = if wall_s > 0.0 {
@@ -166,6 +162,18 @@ fn throughput_table(scenario: &str, loads: &[LoadRecord]) -> Table {
         table.push_row(cells);
     }
     table
+}
+
+/// The per-point key of a load record, by the rule of
+/// [`CellRecord::group_key`]: `(net, n, d, victim)` with the fault label
+/// folded into the net column (`SDGR/loss0.1`), so the throughput table
+/// keeps fault points apart exactly as the per-point means table does.
+fn load_key(load: &LoadRecord) -> (String, usize, usize, String) {
+    let net = match &load.fault {
+        Some(fault) => format!("{}/{fault}", load.net),
+        None => load.net.clone(),
+    };
+    (net, load.n, load.d, load.victim.clone())
 }
 
 /// Collapses one per-round series into a flat metric record with the same
@@ -434,6 +442,7 @@ mod tests {
             n: 256,
             d: 4,
             victim: "uniform".into(),
+            fault: None,
             trial,
             seed: 7,
             wall_s,
@@ -482,6 +491,23 @@ mod tests {
         // No load records → no throughput table at all.
         let without = scenario_report("demo", &[cell(&[])], &[], &[]);
         assert_eq!(without.tables.len(), 1);
+    }
+
+    #[test]
+    fn throughput_table_keeps_fault_points_apart() {
+        let loads: Vec<LoadRecord> = [None, Some("loss0.1")]
+            .into_iter()
+            .map(|fault| LoadRecord {
+                fault: fault.map(str::to_string),
+                ..load("SDGR", 0, 1.0, 100.0, &[])
+            })
+            .collect();
+        let report = scenario_report("demo", &[cell(&[])], &[], &loads);
+        let rows = report.tables.last().unwrap().rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0][0], "SDGR");
+        assert_eq!(rows[1][0], "SDGR/loss0.1");
+        assert_eq!(rows[1][4], "1", "one cell per fault point");
     }
 
     #[test]

@@ -1029,7 +1029,7 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------------
-// Cell records (the JSONL schema)
+// Records and their codec (the JSONL schema)
 // ---------------------------------------------------------------------------
 
 fn escape_json(s: &str, out: &mut String) {
@@ -1064,6 +1064,225 @@ fn format_value(value: f64) -> String {
         // JSON cannot represent non-finite numbers; serde_json writes null.
         "null".to_owned()
     }
+}
+
+/// One record as one JSON object on one line, written key by key in call
+/// order. Every record kind serialises through it, so escaping, the number
+/// format and comma placement live here alone.
+struct Line(String);
+
+impl Line {
+    fn new() -> Self {
+        Line(String::with_capacity(256) + "{")
+    }
+
+    /// Writes `"key":`, after a comma unless an object just opened, and
+    /// returns the buffer the value goes into.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        escape_json(key, &mut self.0);
+        self.0.push(':');
+        &mut self.0
+    }
+
+    fn str(mut self, key: &str, value: &str) -> Self {
+        escape_json(value, self.key(key));
+        self
+    }
+
+    /// A string field that is left out entirely when `None`.
+    fn opt_str(self, key: &str, value: Option<&str>) -> Self {
+        match value {
+            Some(value) => self.str(key, value),
+            None => self,
+        }
+    }
+
+    fn int(mut self, key: &str, value: u64) -> Self {
+        self.key(key).push_str(&value.to_string());
+        self
+    }
+
+    fn num(mut self, key: &str, value: f64) -> Self {
+        self.key(key).push_str(&format_value(value));
+        self
+    }
+
+    /// An ordered `{name: number}` object.
+    fn numbers(mut self, key: &str, entries: &[(String, f64)]) -> Self {
+        self.key(key).push('{');
+        for (name, value) in entries {
+            self = self.num(name, *value);
+        }
+        self.0.push('}');
+        self
+    }
+
+    /// An ordered `{name: [number, …]}` object.
+    fn columns(mut self, key: &str, columns: &[(String, Vec<f64>)]) -> Self {
+        self.key(key).push('{');
+        for (name, values) in columns {
+            let values: Vec<String> = values.iter().map(|&value| format_value(value)).collect();
+            self.key(name).push_str(&format!("[{}]", values.join(",")));
+        }
+        self.0.push('}');
+        self
+    }
+
+    fn end(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// Opens a record's [`Line`] with the identity header every record kind
+/// shares, in this order: `scenario, net, n, d, victim, [fault], trial,
+/// seed`. The fault key is omitted when `None`, so fault-free lines keep
+/// their pre-fault bytes.
+macro_rules! header {
+    ($record:expr, $fault:expr) => {
+        Line::new()
+            .str("scenario", &$record.scenario)
+            .str("net", &$record.net)
+            .int("n", $record.n as u64)
+            .int("d", $record.d as u64)
+            .str("victim", &$record.victim)
+            .opt_str("fault", $fault)
+            .int("trial", $record.trial as u64)
+            .int("seed", $record.seed)
+    };
+}
+
+/// One parsed record line, read field by field. Every record kind parses
+/// through it, with one error message per expected type. JSON objects do
+/// not order their keys, so `{name: …}` objects come back sorted by name.
+struct Fields(minijson::Value);
+
+impl Fields {
+    fn parse(line: &str) -> Result<Self, String> {
+        minijson::parse(line).map(Fields)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.0.get(key).is_some()
+    }
+
+    fn get(&self, key: &str) -> Result<&minijson::Value, String> {
+        self.0
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    fn read<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(&minijson::Value) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.get(key)?).ok_or_else(|| format!("{key} must be {kind}"))
+    }
+
+    fn str(&self, key: &str) -> Result<String, String> {
+        self.read(key, "a string", minijson::Value::as_string)
+    }
+
+    /// A string field that may be absent (written by [`Line::opt_str`]).
+    fn opt_str(&self, key: &str) -> Result<Option<String>, String> {
+        self.has(key).then(|| self.str(key)).transpose()
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.read(key, "an integer", minijson::Value::as_u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.read(key, "an integer", minijson::Value::as_usize)
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.read(key, "a number", minijson::Value::as_f64)
+    }
+
+    fn numbers(&self, key: &str) -> Result<Vec<(String, f64)>, String> {
+        self.entries(key, "a number", minijson::Value::as_f64)
+    }
+
+    fn columns(&self, key: &str) -> Result<Vec<(String, Vec<f64>)>, String> {
+        self.entries(key, "an array of numbers", |value| {
+            value
+                .as_array()?
+                .iter()
+                .map(minijson::Value::as_f64)
+                .collect()
+        })
+    }
+
+    fn entries<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        read: impl Fn(&minijson::Value) -> Option<T>,
+    ) -> Result<Vec<(String, T)>, String> {
+        let minijson::Value::Object(entries) = self.get(key)? else {
+            return Err(format!("{key} must be an object"));
+        };
+        entries
+            .iter()
+            .map(|(name, value)| {
+                let value = read(value).ok_or_else(|| format!("{key} {name:?} must be {kind}"))?;
+                Ok((name.clone(), value))
+            })
+            .collect()
+    }
+}
+
+/// Reads a JSONL record file as `(record, raw line)` pairs, skipping blank
+/// lines; the resume path re-emits the raw bytes verbatim. With
+/// `repair_tail` a torn last line (see [`load_cell_records`]) is dropped;
+/// without it every line must parse. A malformed line before the last is
+/// [`io::ErrorKind::InvalidData`] either way.
+fn read_records<T>(
+    path: &Path,
+    parse: fn(&str) -> Result<T, String>,
+    repair_tail: bool,
+) -> io::Result<Vec<(T, String)>> {
+    let data = fs::read(path)?;
+    let mut out = Vec::new();
+    let mut lines = data.split_inclusive(|&b| b == b'\n').enumerate().peekable();
+    while let Some((k, line)) = lines.next() {
+        let is_last = lines.peek().is_none();
+        let complete = line.last() == Some(&b'\n');
+        let text = std::str::from_utf8(line).map(|text| text.trim_end_matches(['\n', '\r']));
+        if text.is_ok_and(|text| text.trim().is_empty()) {
+            continue;
+        }
+        let parsed = text
+            .map_err(|_| "invalid UTF-8".to_string())
+            .and_then(|text| parse(text).map(|record| (record, text.to_string())));
+        match parsed {
+            Ok(record) if complete || !repair_tail => out.push(record),
+            // A parseable tail without its newline is an interrupted write:
+            // drop it, the cell re-runs.
+            Ok(_) => break,
+            Err(e) if repair_tail && is_last => {
+                eprintln!(
+                    "warning: {}: dropping corrupt trailing line ({e}); \
+                     its cell re-runs on --resume",
+                    path.display()
+                );
+                break;
+            }
+            Err(e) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}:{}: {e}", path.display(), k + 1),
+                ));
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// One completed cell: its identity plus the measured metrics, stored as one
@@ -1119,31 +1338,9 @@ impl CellRecord {
     /// produce byte-identical files.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(128 + 32 * self.metrics.len());
-        out.push_str("{\"scenario\":");
-        escape_json(&self.scenario, &mut out);
-        out.push_str(",\"net\":");
-        escape_json(&self.net, &mut out);
-        out.push_str(&format!(",\"n\":{},\"d\":{},\"victim\":", self.n, self.d));
-        escape_json(&self.victim, &mut out);
-        if let Some(fault) = &self.fault {
-            out.push_str(",\"fault\":");
-            escape_json(fault, &mut out);
-        }
-        out.push_str(&format!(
-            ",\"trial\":{},\"seed\":{},\"metrics\":{{",
-            self.trial, self.seed
-        ));
-        for (i, (metric, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json(metric, &mut out);
-            out.push(':');
-            out.push_str(&format_value(*value));
-        }
-        out.push_str("}}");
-        out
+        header!(self, self.fault.as_deref())
+            .numbers("metrics", &self.metrics)
+            .end()
     }
 
     /// Parses a record from one JSON line.
@@ -1152,53 +1349,17 @@ impl CellRecord {
     ///
     /// Returns a description of the first malformed field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let value = minijson::parse(line)?;
-        fn field<'a>(v: &'a minijson::Value, key: &str) -> Result<&'a minijson::Value, String> {
-            v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        }
-        let metrics_value = field(&value, "metrics")?;
-        let minijson::Value::Object(metrics_map) = metrics_value else {
-            return Err("metrics must be an object".to_string());
-        };
-        let mut metrics = Vec::with_capacity(metrics_map.len());
-        for (metric, metric_value) in metrics_map {
-            metrics.push((
-                metric.clone(),
-                metric_value
-                    .as_f64()
-                    .ok_or_else(|| format!("metric {metric:?} must be a number"))?,
-            ));
-        }
+        let f = Fields::parse(line)?;
         Ok(CellRecord {
-            scenario: field(&value, "scenario")?
-                .as_str()
-                .ok_or("scenario must be a string")?
-                .to_owned(),
-            net: field(&value, "net")?
-                .as_str()
-                .ok_or("net must be a string")?
-                .to_owned(),
-            n: field(&value, "n")?
-                .as_usize()
-                .ok_or("n must be an integer")?,
-            d: field(&value, "d")?
-                .as_usize()
-                .ok_or("d must be an integer")?,
-            victim: field(&value, "victim")?
-                .as_str()
-                .ok_or("victim must be a string")?
-                .to_owned(),
-            fault: match value.get("fault") {
-                Some(fault) => Some(fault.as_str().ok_or("fault must be a string")?.to_owned()),
-                None => None,
-            },
-            trial: field(&value, "trial")?
-                .as_usize()
-                .ok_or("trial must be an integer")?,
-            seed: field(&value, "seed")?
-                .as_u64()
-                .ok_or("seed must be an integer")?,
-            metrics,
+            scenario: f.str("scenario")?,
+            net: f.str("net")?,
+            n: f.usize("n")?,
+            d: f.usize("d")?,
+            victim: f.str("victim")?,
+            fault: f.opt_str("fault")?,
+            trial: f.usize("trial")?,
+            seed: f.u64("seed")?,
+            metrics: f.numbers("metrics")?,
         })
     }
 }
@@ -1219,65 +1380,8 @@ impl CellRecord {
 /// Returns any I/O error; a malformed complete line *followed by more data*
 /// cannot be a torn trailing write and is reported as corruption.
 pub fn load_cell_records(path: &Path) -> io::Result<Vec<CellRecord>> {
-    read_checkpoint(path).map(|lines| lines.into_iter().map(|l| l.record).collect())
-}
-
-/// One valid checkpoint line: the parsed record plus its exact on-disk bytes
-/// (sans newline). The resume path re-emits `raw` verbatim — existing
-/// records are never re-serialised, which is what keeps a repaired file
-/// bit-identical to an uninterrupted run.
-struct CheckpointLine {
-    record: CellRecord,
-    raw: String,
-}
-
-fn read_checkpoint(path: &Path) -> io::Result<Vec<CheckpointLine>> {
-    let data = fs::read(path)?;
-    let mut out = Vec::new();
-    let mut lines = data.split_inclusive(|&b| b == b'\n').peekable();
-    while let Some(line) = lines.next() {
-        let is_last = lines.peek().is_none();
-        let complete = line.last() == Some(&b'\n');
-        let parsed = std::str::from_utf8(line)
-            .map_err(|_| "invalid UTF-8".to_string())
-            .and_then(|text| {
-                let text = text.trim_end_matches(['\n', '\r']);
-                if text.trim().is_empty() {
-                    Ok(None)
-                } else {
-                    CellRecord::from_json_line(text).map(|record| Some((record, text)))
-                }
-            });
-        match parsed {
-            Ok(None) => {}
-            Ok(Some((record, text))) if complete => {
-                out.push(CheckpointLine {
-                    record,
-                    raw: text.to_string(),
-                });
-            }
-            // A parseable tail without its newline is an interrupted write:
-            // drop it, the cell re-runs.
-            Ok(Some(_)) => break,
-            Err(e) => {
-                if complete && !is_last {
-                    // Corruption in the middle of the file is not a torn
-                    // write; refuse to silently lose interior records.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: {e}", path.display()),
-                    ));
-                }
-                eprintln!(
-                    "warning: {}: dropping corrupt trailing line ({e}); \
-                     the cell will re-run on --resume",
-                    path.display()
-                );
-                break;
-            }
-        }
-    }
-    Ok(out)
+    read_records(path, CellRecord::from_json_line, true)
+        .map(|lines| lines.into_iter().map(|(record, _)| record).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1344,38 +1448,10 @@ impl SeriesRecord {
     /// (and any non-finite value) encodes as `null`.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let rounds = self.rounds();
-        let mut out = String::with_capacity(160 + 8 * rounds * self.series.len());
-        out.push_str("{\"scenario\":");
-        escape_json(&self.scenario, &mut out);
-        out.push_str(",\"net\":");
-        escape_json(&self.net, &mut out);
-        out.push_str(&format!(",\"n\":{},\"d\":{},\"victim\":", self.n, self.d));
-        escape_json(&self.victim, &mut out);
-        if let Some(fault) = &self.fault {
-            out.push_str(",\"fault\":");
-            escape_json(fault, &mut out);
-        }
-        out.push_str(&format!(
-            ",\"trial\":{},\"seed\":{},\"rounds\":{rounds},\"series\":{{",
-            self.trial, self.seed
-        ));
-        for (i, (column, values)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json(column, &mut out);
-            out.push_str(":[");
-            for (j, value) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format_value(*value));
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
+        header!(self, self.fault.as_deref())
+            .int("rounds", self.rounds() as u64)
+            .columns("series", &self.series)
+            .end()
     }
 
     /// Parses a record from one JSON line.
@@ -1385,67 +1461,24 @@ impl SeriesRecord {
     /// Returns a description of the first malformed field (including
     /// columns whose length disagrees with the recorded `rounds`).
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let value = minijson::parse(line)?;
-        fn field<'a>(v: &'a minijson::Value, key: &str) -> Result<&'a minijson::Value, String> {
-            v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        }
-        let rounds = field(&value, "rounds")?
-            .as_usize()
-            .ok_or("rounds must be an integer")?;
-        let series_value = field(&value, "series")?;
-        let minijson::Value::Object(series_map) = series_value else {
-            return Err("series must be an object".to_string());
-        };
-        let mut series = Vec::with_capacity(series_map.len());
-        for (column, column_value) in series_map {
-            let minijson::Value::Array(entries) = column_value else {
-                return Err(format!("series column {column:?} must be an array"));
-            };
-            let mut values = Vec::with_capacity(entries.len());
-            for entry in entries {
-                values.push(
-                    entry
-                        .as_f64()
-                        .ok_or_else(|| format!("series column {column:?} must hold numbers"))?,
-                );
-            }
-            if values.len() != rounds {
-                return Err(format!(
-                    "series column {column:?} has {} entries, expected {rounds}",
-                    values.len()
-                ));
-            }
-            series.push((column.clone(), values));
+        let f = Fields::parse(line)?;
+        let rounds = f.usize("rounds")?;
+        let series = f.columns("series")?;
+        if let Some((column, values)) = series.iter().find(|(_, v)| v.len() != rounds) {
+            return Err(format!(
+                "series column {column:?} has {} entries, expected {rounds}",
+                values.len()
+            ));
         }
         Ok(SeriesRecord {
-            scenario: field(&value, "scenario")?
-                .as_str()
-                .ok_or("scenario must be a string")?
-                .to_owned(),
-            net: field(&value, "net")?
-                .as_str()
-                .ok_or("net must be a string")?
-                .to_owned(),
-            n: field(&value, "n")?
-                .as_usize()
-                .ok_or("n must be an integer")?,
-            d: field(&value, "d")?
-                .as_usize()
-                .ok_or("d must be an integer")?,
-            victim: field(&value, "victim")?
-                .as_str()
-                .ok_or("victim must be a string")?
-                .to_owned(),
-            fault: match value.get("fault") {
-                Some(fault) => Some(fault.as_str().ok_or("fault must be a string")?.to_owned()),
-                None => None,
-            },
-            trial: field(&value, "trial")?
-                .as_usize()
-                .ok_or("trial must be an integer")?,
-            seed: field(&value, "seed")?
-                .as_u64()
-                .ok_or("seed must be an integer")?,
+            scenario: f.str("scenario")?,
+            net: f.str("net")?,
+            n: f.usize("n")?,
+            d: f.usize("d")?,
+            victim: f.str("victim")?,
+            fault: f.opt_str("fault")?,
+            trial: f.usize("trial")?,
+            seed: f.u64("seed")?,
             series,
         })
     }
@@ -1462,54 +1495,8 @@ impl SeriesRecord {
 ///
 /// Returns any I/O error, or corruption before the last line.
 pub fn load_series_records(path: &Path) -> io::Result<Vec<SeriesRecord>> {
-    read_series_checkpoint(path)
-        .map(|lines| lines.into_iter().map(|(_, record, _)| record).collect())
-}
-
-/// Reads the series side file as `(seed, record, raw line)` triples with the
-/// same torn-tail tolerance as [`read_checkpoint`]. The resume path re-emits
-/// `raw` verbatim for checkpointed cells, keeping a resumed series file
-/// bit-identical to an uninterrupted one.
-fn read_series_checkpoint(path: &Path) -> io::Result<Vec<(u64, SeriesRecord, String)>> {
-    let data = fs::read(path)?;
-    let mut out = Vec::new();
-    let mut lines = data.split_inclusive(|&b| b == b'\n').peekable();
-    while let Some(line) = lines.next() {
-        let is_last = lines.peek().is_none();
-        let complete = line.last() == Some(&b'\n');
-        let parsed = std::str::from_utf8(line)
-            .map_err(|_| "invalid UTF-8".to_string())
-            .and_then(|text| {
-                let text = text.trim_end_matches(['\n', '\r']);
-                if text.trim().is_empty() {
-                    Ok(None)
-                } else {
-                    SeriesRecord::from_json_line(text).map(|record| Some((record, text)))
-                }
-            });
-        match parsed {
-            Ok(None) => {}
-            Ok(Some((record, text))) if complete => {
-                out.push((record.seed, record, text.to_string()));
-            }
-            Ok(Some(_)) => break,
-            Err(e) => {
-                if complete && !is_last {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: {e}", path.display()),
-                    ));
-                }
-                eprintln!(
-                    "warning: {}: dropping corrupt trailing series line ({e}); \
-                     the cell's series re-emits on --resume only if the cell re-runs",
-                    path.display()
-                );
-                break;
-            }
-        }
-    }
-    Ok(out)
+    read_records(path, SeriesRecord::from_json_line, true)
+        .map(|lines| lines.into_iter().map(|(record, _)| record).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1668,20 +1655,7 @@ impl CellFailure {
     /// metrics).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(160 + self.error.len());
-        out.push_str("{\"scenario\":");
-        escape_json(&self.scenario, &mut out);
-        out.push_str(",\"net\":");
-        escape_json(&self.net, &mut out);
-        out.push_str(&format!(",\"n\":{},\"d\":{},\"victim\":", self.n, self.d));
-        escape_json(&self.victim, &mut out);
-        out.push_str(&format!(
-            ",\"trial\":{},\"seed\":{},\"error\":",
-            self.trial, self.seed
-        ));
-        escape_json(&self.error, &mut out);
-        out.push('}');
-        out
+        header!(self, None).str("error", &self.error).end()
     }
 }
 
@@ -1706,6 +1680,9 @@ pub struct LoadRecord {
     pub d: usize,
     /// Victim policy label.
     pub victim: String,
+    /// Fault-axis label; `None` on fault-free cells (omitted from the line,
+    /// mirroring [`CellRecord`]).
+    pub fault: Option<String>,
     /// Trial index.
     pub trial: usize,
     /// The cell's seed.
@@ -1731,39 +1708,16 @@ impl LoadRecord {
     /// Serialises the load record as one JSON line.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(200);
-        out.push_str("{\"scenario\":");
-        escape_json(&self.scenario, &mut out);
-        out.push_str(",\"net\":");
-        escape_json(&self.net, &mut out);
-        out.push_str(&format!(",\"n\":{},\"d\":{},\"victim\":", self.n, self.d));
-        escape_json(&self.victim, &mut out);
-        out.push_str(&format!(
-            ",\"trial\":{},\"seed\":{},\"wall_s\":{},\"unit\":",
-            self.trial,
-            self.seed,
-            format_value(self.wall_s)
-        ));
-        escape_json(self.unit, &mut out);
-        out.push_str(&format!(
-            ",\"units\":{},\"units_per_s\":{}",
-            format_value(self.units),
-            format_value(self.units_per_s)
-        ));
-        if !self.phases.is_empty() {
-            out.push_str(",\"phases\":{");
-            for (i, (phase, seconds)) in self.phases.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_json(phase, &mut out);
-                out.push(':');
-                out.push_str(&format_value(*seconds));
-            }
-            out.push('}');
+        let line = header!(self, self.fault.as_deref())
+            .num("wall_s", self.wall_s)
+            .str("unit", self.unit)
+            .num("units", self.units)
+            .num("units_per_s", self.units_per_s);
+        if self.phases.is_empty() {
+            line.end()
+        } else {
+            line.numbers("phases", &self.phases).end()
         }
-        out.push('}');
-        out
     }
 
     /// Parses a load record from one JSON line.
@@ -1776,69 +1730,31 @@ impl LoadRecord {
     ///
     /// Returns a description of the first malformed field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let value = minijson::parse(line)?;
-        fn field<'a>(v: &'a minijson::Value, key: &str) -> Result<&'a minijson::Value, String> {
-            v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        }
-        let unit = match field(&value, "unit")?
-            .as_str()
-            .ok_or("unit must be a string")?
-        {
+        let f = Fields::parse(line)?;
+        let unit = match f.str("unit")?.as_str() {
             "events" => "events",
             "rounds" => "rounds",
             "cells" => "cells",
             other => return Err(format!("unknown work unit {other:?}")),
         };
-        let mut phases = Vec::new();
-        if let Some(phases_value) = value.get("phases") {
-            let minijson::Value::Object(phases_map) = phases_value else {
-                return Err("phases must be an object".to_string());
-            };
-            for (phase, seconds) in phases_map {
-                phases.push((
-                    phase.clone(),
-                    seconds
-                        .as_f64()
-                        .ok_or_else(|| format!("phase {phase:?} must be a number"))?,
-                ));
-            }
-        }
         Ok(LoadRecord {
-            scenario: field(&value, "scenario")?
-                .as_str()
-                .ok_or("scenario must be a string")?
-                .to_owned(),
-            net: field(&value, "net")?
-                .as_str()
-                .ok_or("net must be a string")?
-                .to_owned(),
-            n: field(&value, "n")?
-                .as_usize()
-                .ok_or("n must be an integer")?,
-            d: field(&value, "d")?
-                .as_usize()
-                .ok_or("d must be an integer")?,
-            victim: field(&value, "victim")?
-                .as_str()
-                .ok_or("victim must be a string")?
-                .to_owned(),
-            trial: field(&value, "trial")?
-                .as_usize()
-                .ok_or("trial must be an integer")?,
-            seed: field(&value, "seed")?
-                .as_u64()
-                .ok_or("seed must be an integer")?,
-            wall_s: field(&value, "wall_s")?
-                .as_f64()
-                .ok_or("wall_s must be a number")?,
+            scenario: f.str("scenario")?,
+            net: f.str("net")?,
+            n: f.usize("n")?,
+            d: f.usize("d")?,
+            victim: f.str("victim")?,
+            fault: f.opt_str("fault")?,
+            trial: f.usize("trial")?,
+            seed: f.u64("seed")?,
+            wall_s: f.f64("wall_s")?,
             unit,
-            units: field(&value, "units")?
-                .as_f64()
-                .ok_or("units must be a number")?,
-            units_per_s: field(&value, "units_per_s")?
-                .as_f64()
-                .ok_or("units_per_s must be a number")?,
-            phases,
+            units: f.f64("units")?,
+            units_per_s: f.f64("units_per_s")?,
+            phases: if f.has("phases") {
+                f.numbers("phases")?
+            } else {
+                Vec::new()
+            },
         })
     }
 }
@@ -1852,21 +1768,8 @@ impl LoadRecord {
 ///
 /// Returns any I/O error; malformed lines are reported as corruption.
 pub fn load_load_records(path: &Path) -> io::Result<Vec<LoadRecord>> {
-    let data = fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    for (k, line) in data.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = LoadRecord::from_json_line(line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}:{}: {e}", path.display(), k + 1),
-            )
-        })?;
-        out.push(record);
-    }
-    Ok(out)
+    read_records(path, LoadRecord::from_json_line, false)
+        .map(|lines| lines.into_iter().map(|(record, _)| record).collect())
 }
 
 /// The throughput work unit of one cell, extracted from its metrics:
@@ -1905,25 +1808,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// `<dir>/<name>.<kind>` under the full preset, `<dir>/<name>.smoke.<kind>`
+/// under the smoke preset.
+fn scenario_file(scenario: &Scenario, opts: &RunOptions, kind: &str) -> PathBuf {
+    let preset = match opts.preset {
+        GridPreset::Full => "",
+        GridPreset::Smoke => "smoke.",
+    };
+    opts.dir.join(format!("{}.{preset}{kind}", scenario.name()))
+}
+
 /// The output path of a scenario under the given options.
 #[must_use]
 pub fn scenario_output_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
-    let suffix = match opts.preset {
-        GridPreset::Full => "jsonl",
-        GridPreset::Smoke => "smoke.jsonl",
-    };
-    opts.dir.join(format!("{}.{suffix}", scenario.name()))
+    scenario_file(scenario, opts, "jsonl")
 }
 
 /// The side file panicking cells are recorded to
 /// (`<name>.failures.jsonl` / `<name>.smoke.failures.jsonl`).
 #[must_use]
 pub fn scenario_failures_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
-    let suffix = match opts.preset {
-        GridPreset::Full => "failures.jsonl",
-        GridPreset::Smoke => "smoke.failures.jsonl",
-    };
-    opts.dir.join(format!("{}.{suffix}", scenario.name()))
+    scenario_file(scenario, opts, "failures.jsonl")
 }
 
 /// The side file per-cell wall-clock throughput is written to
@@ -1931,11 +1836,7 @@ pub fn scenario_failures_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf
 /// invocation — wall-clock is not part of the deterministic checkpoint.
 #[must_use]
 pub fn scenario_load_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
-    let suffix = match opts.preset {
-        GridPreset::Full => "load.jsonl",
-        GridPreset::Smoke => "smoke.load.jsonl",
-    };
-    opts.dir.join(format!("{}.{suffix}", scenario.name()))
+    scenario_file(scenario, opts, "load.jsonl")
 }
 
 /// The side file per-round time series are streamed to
@@ -1945,11 +1846,52 @@ pub fn scenario_load_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
 /// cells carry over byte-verbatim and only re-executed cells re-emit.
 #[must_use]
 pub fn scenario_series_path(scenario: &Scenario, opts: &RunOptions) -> PathBuf {
-    let suffix = match opts.preset {
-        GridPreset::Full => "series.jsonl",
-        GridPreset::Smoke => "smoke.series.jsonl",
-    };
-    opts.dir.join(format!("{}.{suffix}", scenario.name()))
+    scenario_file(scenario, opts, "series.jsonl")
+}
+
+/// A side file that only this invocation's cells write (failures, load):
+/// removed when the run starts, since a previous run's lines are stale
+/// either way; created on its first line, so a run with nothing to record
+/// leaves no file; flushed after every line.
+struct SideFile {
+    path: PathBuf,
+    file: Option<fs::File>,
+}
+
+impl SideFile {
+    fn reset(path: PathBuf) -> Self {
+        let _ = fs::remove_file(&path);
+        SideFile { path, file: None }
+    }
+
+    fn write_line(&mut self, line: &str) -> io::Result<()> {
+        let file = match self.file.as_mut() {
+            Some(file) => file,
+            None => self.file.insert(fs::File::create(&self.path)?),
+        };
+        file.write_all(line.as_bytes())?;
+        file.write_all(b"\n")?;
+        file.flush()
+    }
+}
+
+/// Writes one cell's checkpoint line and, when the series file is open,
+/// its series line: the series file advances in lockstep with the main
+/// checkpoint. Not every cell has a series line — carried-over pre-series
+/// checkpoints don't — so absence just skips.
+fn write_cell(
+    file: &mut fs::File,
+    series_file: Option<&mut fs::File>,
+    line: &str,
+    series_line: Option<&String>,
+) -> io::Result<()> {
+    file.write_all(line.as_bytes())?;
+    file.write_all(b"\n")?;
+    if let (Some(side), Some(series_line)) = (series_file, series_line) {
+        side.write_all(series_line.as_bytes())?;
+        side.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// Runs a scenario's grid, streaming one JSON record per completed cell to
@@ -1984,9 +1926,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
     // lines first (raw bytes, never re-serialised), freshly computed records
     // as batches complete.
     let mut lines: HashMap<u64, String> = if opts.resume && path.exists() {
-        read_checkpoint(&path)?
+        read_records(&path, CellRecord::from_json_line, true)?
             .into_iter()
-            .map(|line| (line.record.seed, line.raw))
+            .map(|(record, raw)| (record.seed, raw))
             .collect()
     } else {
         HashMap::new()
@@ -2013,19 +1955,12 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
     // resume loses nothing.
     let mut file = fs::File::create(&path)?;
 
-    // Failures of a *previous* invocation are stale either way: a fresh run
-    // restarts everything, a resume retries exactly the failed cells.
-    let failures_path = scenario_failures_path(scenario, opts);
-    let _ = fs::remove_file(&failures_path);
+    // A resume retries exactly the failed cells, and wall-clock from a
+    // previous run describes a different machine state.
+    let mut failures_file = SideFile::reset(scenario_failures_path(scenario, opts));
     let mut failures: Vec<CellFailure> = Vec::new();
-    let mut failures_file: Option<fs::File> = None;
-
-    // Wall-clock throughput of this invocation's cells. Previous load files
-    // describe a different machine state — always start fresh.
-    let load_path = scenario_load_path(scenario, opts);
-    let _ = fs::remove_file(&load_path);
+    let mut load_file = SideFile::reset(scenario_load_path(scenario, opts));
     let mut loads: Vec<LoadRecord> = Vec::new();
-    let mut load_file: Option<fs::File> = None;
 
     // The series side file mirrors the main checkpoint's lifecycle when
     // series recording is on: carried-over lines are re-emitted byte-
@@ -2037,9 +1972,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
     let mut series_file: Option<fs::File> = None;
     if opts.series {
         if opts.resume && series_path.exists() {
-            series_lines = read_series_checkpoint(&series_path)?
+            series_lines = read_records(&series_path, SeriesRecord::from_json_line, true)?
                 .into_iter()
-                .map(|(seed, _, raw)| (seed, raw))
+                .map(|(record, raw)| (record.seed, raw))
                 .collect();
         }
         if scenario.measurement().supports_series() {
@@ -2179,6 +2114,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
                         n: record.n,
                         d: record.d,
                         victim: record.victim.clone(),
+                        fault: record.fault.clone(),
                         trial: record.trial,
                         seed: record.seed,
                         wall_s,
@@ -2187,13 +2123,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
                         units_per_s: if wall_s > 0.0 { units / wall_s } else { 0.0 },
                         phases: run.phases,
                     };
-                    let side = match load_file.as_mut() {
-                        Some(side) => side,
-                        None => load_file.insert(fs::File::create(&load_path)?),
-                    };
-                    side.write_all(load.to_json_line().as_bytes())?;
-                    side.write_all(b"\n")?;
-                    side.flush()?;
+                    load_file.write_line(&load.to_json_line())?;
                     loads.push(load);
                     if let Some(series_line) = run.series_line {
                         series_lines.insert(record.seed, series_line);
@@ -2202,36 +2132,20 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
                     executed += 1;
                 }
                 Err(failure) => {
-                    let side = match failures_file.as_mut() {
-                        Some(side) => side,
-                        None => failures_file.insert(fs::File::create(&failures_path)?),
-                    };
-                    side.write_all(failure.to_json_line().as_bytes())?;
-                    side.write_all(b"\n")?;
-                    side.flush()?;
+                    failures_file.write_line(&failure.to_json_line())?;
                     failures.push(*failure);
                 }
             }
         }
-        while cursor < all.len() {
-            match lines.get(&all[cursor].1) {
-                Some(line) => {
-                    file.write_all(line.as_bytes())?;
-                    file.write_all(b"\n")?;
-                    // The series file advances in lockstep with the main
-                    // checkpoint (not every cell has a series line — carried-
-                    // over pre-series checkpoints don't — so absence just
-                    // skips).
-                    if let Some(side) = series_file.as_mut() {
-                        if let Some(series_line) = series_lines.get(&all[cursor].1) {
-                            side.write_all(series_line.as_bytes())?;
-                            side.write_all(b"\n")?;
-                        }
-                    }
-                    cursor += 1;
-                }
-                None => break,
-            }
+        while let Some((_, seed)) = all.get(cursor) {
+            let Some(line) = lines.get(seed) else { break };
+            write_cell(
+                &mut file,
+                series_file.as_mut(),
+                line,
+                series_lines.get(seed),
+            )?;
+            cursor += 1;
         }
         file.flush()?;
         if let Some(side) = series_file.as_mut() {
@@ -2241,18 +2155,15 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> io::Result<Scenar
     // Tail sweep: nothing is pending any more, so emit every remaining
     // available line. Cells past a panicked or limit-cut cell keep their
     // records; only the gap itself re-runs on --resume.
-    while cursor < all.len() {
-        if let Some(line) = lines.get(&all[cursor].1) {
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-            if let Some(side) = series_file.as_mut() {
-                if let Some(series_line) = series_lines.get(&all[cursor].1) {
-                    side.write_all(series_line.as_bytes())?;
-                    side.write_all(b"\n")?;
-                }
-            }
+    for (_, seed) in &all[cursor..] {
+        if let Some(line) = lines.get(seed) {
+            write_cell(
+                &mut file,
+                series_file.as_mut(),
+                line,
+                series_lines.get(seed),
+            )?;
         }
-        cursor += 1;
     }
     file.flush()?;
     if let Some(mut side) = series_file.take() {
@@ -2662,6 +2573,7 @@ mod tests {
             n: 4096,
             d: 4,
             victim: "uniform".to_string(),
+            fault: None,
             trial: 2,
             seed: 99,
             wall_s: 0.125,
@@ -2701,6 +2613,131 @@ mod tests {
             .contains("bogons"));
     }
 
+    /// Pins the exact bytes of every record kind: key order, escaping,
+    /// number format, omitted optional keys and empty objects.
+    #[test]
+    fn every_record_kind_serialises_to_pinned_bytes() {
+        let head =
+            "\"scenario\":\"demo\",\"net\":\"SDGR\",\"n\":256,\"d\":8,\"victim\":\"uniform\"";
+        let big = format!("1{}.0", "0".repeat(300));
+        let cell = CellRecord {
+            scenario: "demo".to_string(),
+            net: "SDGR".to_string(),
+            n: 256,
+            d: 8,
+            victim: "uniform".to_string(),
+            fault: None,
+            trial: 3,
+            seed: u64::MAX,
+            metrics: vec![
+                ("flooding_rounds".to_string(), 6.0),
+                ("a\"b\\c\nd\u{1}".to_string(), f64::NAN),
+                ("big".to_string(), 1e300),
+                ("frac".to_string(), 0.017),
+            ],
+        };
+        assert_eq!(
+            cell.to_json_line(),
+            format!(
+                "{{{head},\"trial\":3,\"seed\":18446744073709551615,\"metrics\":{{\
+                 \"flooding_rounds\":6.0,\"a\\\"b\\\\c\\nd\\u0001\":null,\"big\":{big},\
+                 \"frac\":0.017}}}}"
+            )
+        );
+        let faulted = CellRecord {
+            fault: Some("loss0.1".to_string()),
+            metrics: Vec::new(),
+            ..cell.clone()
+        };
+        assert_eq!(
+            faulted.to_json_line(),
+            format!(
+                "{{{head},\"fault\":\"loss0.1\",\"trial\":3,\
+                 \"seed\":18446744073709551615,\"metrics\":{{}}}}"
+            )
+        );
+
+        let series = SeriesRecord {
+            scenario: "demo".to_string(),
+            net: "SDGR".to_string(),
+            n: 256,
+            d: 8,
+            victim: "uniform".to_string(),
+            fault: None,
+            trial: 0,
+            seed: 7,
+            series: vec![
+                ("informed".to_string(), vec![0.5, f64::NAN]),
+                ("alive".to_string(), vec![250.0, 251.0]),
+            ],
+        };
+        assert_eq!(
+            series.to_json_line(),
+            format!(
+                "{{{head},\"trial\":0,\"seed\":7,\"rounds\":2,\"series\":{{\
+                 \"informed\":[0.5,null],\"alive\":[250.0,251.0]}}}}"
+            )
+        );
+        let empty = SeriesRecord {
+            series: Vec::new(),
+            ..series
+        };
+        assert_eq!(
+            empty.to_json_line(),
+            format!("{{{head},\"trial\":0,\"seed\":7,\"rounds\":0,\"series\":{{}}}}")
+        );
+
+        let load = LoadRecord {
+            scenario: "demo".to_string(),
+            net: "SDGR".to_string(),
+            n: 256,
+            d: 8,
+            victim: "uniform".to_string(),
+            fault: None,
+            trial: 2,
+            seed: 99,
+            wall_s: 0.125,
+            unit: "events",
+            units: 50_000.0,
+            units_per_s: 400_000.0,
+            phases: vec![("event-loop".to_string(), 0.1), ("churn".to_string(), 0.02)],
+        };
+        let load_tail = "\"trial\":2,\"seed\":99,\"wall_s\":0.125,\"unit\":\"events\",\
+                         \"units\":50000.0,\"units_per_s\":400000.0";
+        assert_eq!(
+            load.to_json_line(),
+            format!("{{{head},{load_tail},\"phases\":{{\"event-loop\":0.1,\"churn\":0.02}}}}")
+        );
+        let bare = LoadRecord {
+            phases: Vec::new(),
+            ..load
+        };
+        assert_eq!(bare.to_json_line(), format!("{{{head},{load_tail}}}"));
+        let faulted_load = LoadRecord {
+            fault: Some("loss0.1".to_string()),
+            ..bare
+        };
+        assert_eq!(
+            faulted_load.to_json_line(),
+            format!("{{{head},\"fault\":\"loss0.1\",{load_tail}}}")
+        );
+
+        let failure = CellFailure {
+            scenario: "demo".to_string(),
+            net: "SDGR".to_string(),
+            n: 256,
+            d: 8,
+            victim: "uniform".to_string(),
+            trial: 1,
+            seed: 42,
+            error: "boom\n  at step 2".to_string(),
+        };
+        assert_eq!(
+            failure.to_json_line(),
+            format!("{{{head},\"trial\":1,\"seed\":42,\"error\":\"boom\\n  at step 2\"}}")
+        );
+    }
+
     #[test]
     fn load_load_records_reads_the_side_file_and_rejects_corruption() {
         let dir = std::env::temp_dir().join(format!("churn-load-side-{}", std::process::id()));
@@ -2712,6 +2749,7 @@ mod tests {
             n: 8,
             d: 2,
             victim: "uniform".into(),
+            fault: None,
             trial: 0,
             seed: 1,
             wall_s: 0.5,
@@ -2728,6 +2766,15 @@ mod tests {
         let loaded = load_load_records(&path).unwrap();
         assert_eq!(loaded.len(), 2, "blank lines are skipped");
         assert_eq!(loaded[0], record);
+
+        // The file is strict, not torn-tail tolerant: a valid last line
+        // without its newline is still a record.
+        fs::write(
+            &path,
+            format!("{}\n{}", record.to_json_line(), record.to_json_line()),
+        )
+        .unwrap();
+        assert_eq!(load_load_records(&path).unwrap().len(), 2);
 
         fs::write(&path, "{\"scenario\":\"x\",\"ne").unwrap();
         let err = load_load_records(&path).unwrap_err();
@@ -2823,6 +2870,35 @@ mod tests {
         // A malformed line that is *not* the trailing partial write errors.
         fs::write(&path, "not json\n{}\n").unwrap();
         assert!(load_cell_records(&path).is_err());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn series_side_files_drop_a_torn_tail_and_reject_interior_corruption() {
+        let dir = std::env::temp_dir().join(format!("churn-series-torn-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.series.jsonl");
+        let record = SeriesRecord {
+            scenario: "x".into(),
+            net: "SDG".into(),
+            n: 8,
+            d: 2,
+            victim: "uniform".into(),
+            fault: None,
+            trial: 0,
+            seed: 1,
+            series: vec![("alive".into(), vec![8.0, 7.0])],
+        };
+        let line = record.to_json_line();
+        // A torn trailing write, whether it parses or not, is dropped.
+        for tail in [&line[..line.len() - 4], line.as_str()] {
+            fs::write(&path, format!("{line}\n{tail}")).unwrap();
+            assert_eq!(load_series_records(&path).unwrap(), vec![record.clone()]);
+        }
+        // The same torn bytes before a complete line are corruption.
+        fs::write(&path, format!("{}\n{line}\n", &line[..line.len() - 4])).unwrap();
+        let err = load_series_records(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).ok();
     }
 
