@@ -48,33 +48,6 @@ impl Comparison {
         self
     }
 
-    /// Creates a ratio comparison that holds when
-    /// `measured ≤ factor · baseline` — the shape of "X stays within k× of Y"
-    /// claims (e.g. protocol-maintained flooding time vs. the SDGR baseline).
-    /// The measured/baseline ratio is recorded in the note.
-    #[must_use]
-    pub fn within_factor(
-        label: impl Into<String>,
-        paper_reference: impl Into<String>,
-        baseline: f64,
-        measured: f64,
-        factor: f64,
-    ) -> Self {
-        let ratio = if baseline > 0.0 {
-            measured / baseline
-        } else {
-            f64::INFINITY
-        };
-        Comparison::new(
-            label,
-            paper_reference,
-            format!("<= {factor:.2} x baseline {baseline:.2}"),
-            format!("{measured:.2}"),
-            measured <= factor * baseline,
-        )
-        .with_note(format!("measured/baseline ratio {ratio:.2}"))
-    }
-
     /// The verdict symbol used in reports.
     #[must_use]
     pub fn verdict_symbol(&self) -> &'static str {
@@ -134,8 +107,8 @@ impl ComparisonSet {
         self.comparisons.iter().filter(|c| c.holds).count()
     }
 
-    /// Renders the set as a `churn-sim` table (the format used by the experiment
-    /// binaries and `EXPERIMENTS.md`).
+    /// Renders the set as a `churn-sim` table (the format of the `exp`
+    /// reports).
     #[must_use]
     pub fn to_table(&self) -> Table {
         let mut table = Table::new(
@@ -172,21 +145,6 @@ impl ComparisonSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn within_factor_holds_on_the_boundary_and_fails_beyond() {
-        assert!(Comparison::within_factor("a", "ref", 10.0, 29.9, 3.0).holds);
-        assert!(Comparison::within_factor("a", "ref", 10.0, 30.0, 3.0).holds);
-        assert!(!Comparison::within_factor("a", "ref", 10.0, 30.1, 3.0).holds);
-        let c = Comparison::within_factor("a", "ref", 10.0, 20.0, 3.0);
-        assert!(
-            c.note.contains("2.00"),
-            "ratio recorded in note: {}",
-            c.note
-        );
-        // A zero baseline cannot be beaten by any positive measurement.
-        assert!(!Comparison::within_factor("a", "ref", 0.0, 1.0, 3.0).holds);
-    }
 
     fn sample() -> ComparisonSet {
         let mut set = ComparisonSet::new("E1 — isolated nodes");

@@ -13,8 +13,7 @@
 //!   logarithmic vs linear in `n` (the shape distinction between Theorems
 //!   3.16/4.20 and Theorems 3.7/4.12),
 //! * [`comparison`] — side-by-side "paper claim vs measured value" rows with a
-//!   pass/fail verdict, rendered through `churn-sim` tables into the format
-//!   `EXPERIMENTS.md` uses,
+//!   pass/fail verdict, rendered through `churn-sim` tables,
 //! * [`report`] — report regeneration: rebuilds summary tables, trajectory
 //!   summaries, and the verdict rows from the stored `results/*.jsonl` and
 //!   `results/*.series.jsonl` files without re-running any cell.

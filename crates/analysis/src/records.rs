@@ -3,10 +3,10 @@
 //! The scenario engine (`churn_sim::scenario`) emits one [`CellRecord`] per
 //! grid cell with a flat named-metric map — a uniform schema across every
 //! registered scenario. This module turns a record list into the per-point
-//! summary table the `exp` runner prints (and `EXPERIMENTS.md` consumers
-//! paste): records grouped by `(net, n, d, victim)` in first-appearance
-//! order, one column per metric (union over the group rows, in
-//! first-appearance order), each cell the mean over the group's trials.
+//! summary table the `exp` runner prints: records grouped by
+//! `(net, n, d, victim)` in first-appearance order, one column per metric
+//! (union over the group rows, in first-appearance order), each cell the mean
+//! over the group's trials.
 
 use churn_sim::scenario::CellRecord;
 use churn_sim::{Aggregate, Table};

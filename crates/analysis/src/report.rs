@@ -3,9 +3,9 @@
 //! The scenario engine persists everything a verdict needs: the main
 //! `results/<name>.jsonl` checkpoint (one [`CellRecord`] per cell) and, for
 //! series-enabled runs, the `results/<name>.series.jsonl` side file (one
-//! [`SeriesRecord`] per supporting cell). This module rebuilds the
-//! `EXPERIMENTS.md`-style report — per-point summary table, trajectory
-//! summaries, and the paper-claim verdict table — from those files alone,
+//! [`SeriesRecord`] per supporting cell). This module rebuilds the report —
+//! per-point summary table, trajectory summaries, and the paper-claim verdict
+//! table — from those files alone,
 //! without re-running a single cell. `exp report <name>` is a thin wrapper
 //! around [`scenario_report`].
 //!

@@ -1,4 +1,4 @@
-//! Design ablations called out in `DESIGN.md` §6.
+//! Design ablations of the graph core's data layout.
 //!
 //! 1. **Out-slot adjacency vs. naive edge set** — the library identifies every
 //!    edge by `(owner, slot)`, which makes a node death plus regeneration O(d);

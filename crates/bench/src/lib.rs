@@ -3,14 +3,14 @@
 //! Experiment binaries and Criterion benches for the churn-network
 //! reproduction.
 //!
-//! * Every experiment of `DESIGN.md` §5 is a registered scenario
-//!   ([`scenarios::registry`]) run through the single `exp` binary:
+//! * Every experiment is a registered scenario ([`scenarios::registry`]) run
+//!   through the single `exp` binary:
 //!   `cargo run --release -p churn-bench --bin exp -- run isolated-nodes`,
 //!   etc. `--smoke` shrinks the grid for a fast smoke run; the default is the
-//!   full laptop-scale configuration recorded in `EXPERIMENTS.md`.
+//!   full laptop-scale grid each scenario declares in the registry.
 //! * The Criterion benches in `benches/` measure the library's own throughput
 //!   (model stepping, snapshotting, flooding, expansion estimation, jump-chain
-//!   sampling) plus the design ablations called out in `DESIGN.md` §6.
+//!   sampling) plus two design ablations of the graph core (`ablation.rs`).
 //!   Passing `--json <path>` after `--` (or setting `CHURN_BENCH_JSON`) makes
 //!   every bench append one machine-readable JSON line to `<path>`; the
 //!   `bench_report` binary joins a baseline and an optimized run into a
@@ -30,7 +30,7 @@ use churn_sim::scenario::GridPreset;
 use churn_sim::Table;
 
 /// Prints an experiment report: a header, the result tables (as Markdown, so
-/// the output can be pasted into `EXPERIMENTS.md` verbatim) and the
+/// the output can be pasted into a document verbatim) and the
 /// paper-vs-measured comparison sets with an overall verdict.
 pub fn print_report(
     experiment: &str,

@@ -4,8 +4,8 @@
 //! Each experiment is a ~15-line spec registered here and executed through
 //! the single `exp` runner (`exp run <name>|--all [--smoke] [--resume]`).
 //!
-//! Grids: the **full** preset carries the configurations recorded in
-//! `EXPERIMENTS.md` (including the `n = 10⁶` rows, registered as separate
+//! Grids: the **full** preset carries each experiment's laptop-scale
+//! configuration (including the `n = 10⁶` rows, registered as separate
 //! `*-1m` scenarios so they can be run — and resumed — independently); the
 //! **smoke** preset is a tiny-`n` grid the whole registry finishes in
 //! seconds, run by CI on every PR.

@@ -199,15 +199,6 @@ impl AnyModel {
             AnyModel::Poisson(_) => None,
         }
     }
-
-    /// Borrows the inner Poisson model, if this is one.
-    #[must_use]
-    pub fn as_poisson(&self) -> Option<&PoissonModel> {
-        match self {
-            AnyModel::Poisson(m) => Some(m),
-            AnyModel::Streaming(_) => None,
-        }
-    }
 }
 
 macro_rules! delegate {
@@ -322,10 +313,8 @@ mod tests {
             match kind {
                 ModelKind::Sdg | ModelKind::Sdgr => {
                     assert!(model.as_streaming().is_some());
-                    assert!(model.as_poisson().is_none());
                 }
                 ModelKind::Pdg | ModelKind::Pdgr => {
-                    assert!(model.as_poisson().is_some());
                     assert!(model.as_streaming().is_none());
                 }
                 ModelKind::Raes => unreachable!("ALL holds only the paper's four models"),

@@ -118,42 +118,16 @@ pub fn oldest_alive_victim(
 
 /// Selects the alive node with the most incident links (with multiplicity,
 /// [`DynamicGraph::incident_link_count_at`]), ties broken towards the
-/// smallest identifier so the choice is independent of slab layout. O(n)
-/// member scan per death. Shared by every Poisson-churn host running
-/// [`VictimPolicy::HighestDegree`].
+/// smallest identifier so the choice is independent of slab layout. Shared
+/// by every Poisson-churn host running [`VictimPolicy::HighestDegree`].
 ///
-/// # Panics
-///
-/// Panics on an empty graph.
-pub fn highest_degree_victim(graph: &DynamicGraph) -> (NodeId, u32) {
-    let mut best: Option<(usize, NodeId, u32)> = None;
-    for &idx in graph.member_indices() {
-        let links = graph
-            .incident_link_count_at(idx)
-            .expect("member cells are occupied");
-        let id = graph.id_at(idx).expect("member cells are occupied");
-        let better = match best {
-            None => true,
-            Some((best_links, best_id, _)) => {
-                links > best_links || (links == best_links && id < best_id)
-            }
-        };
-        if better {
-            best = Some((links, id, idx));
-        }
-    }
-    let (_, id, idx) = best.expect("a death event implies at least one alive node");
-    (id, idx)
-}
-
-/// Like [`highest_degree_victim`], but served through the graph's
-/// degree-bucketed member index ([`DynamicGraph::highest_degree_member`])
-/// when a host enabled it ([`DynamicGraph::set_degree_index`]) — amortised
-/// O(1) per incident edge change instead of an O(n) member scan per death,
-/// which is what makes degree-targeted adversarial grids feasible at
-/// `n = 10^6`. Victim choice (max incident links, smallest-identifier
-/// tie-break) is identical on both paths, so trajectories do not depend on
-/// whether the index is on.
+/// Served by [`DynamicGraph::highest_degree_member`]: through the graph's
+/// degree-bucketed member index when a host enabled it
+/// ([`DynamicGraph::set_degree_index`]) — amortised O(1) per incident edge
+/// change, which is what makes degree-targeted adversarial grids feasible at
+/// `n = 10^6` — and by an O(n) member scan otherwise. Victim choice is
+/// identical on both paths, so trajectories do not depend on whether the
+/// index is on.
 ///
 /// # Panics
 ///
@@ -426,7 +400,7 @@ mod tests {
         g.set_out_slot(NodeId::new(0), 0, NodeId::new(2)).unwrap();
         g.set_out_slot(NodeId::new(1), 0, NodeId::new(2)).unwrap();
         g.set_out_slot(NodeId::new(2), 0, NodeId::new(3)).unwrap();
-        let (victim, idx) = highest_degree_victim(&g);
+        let (victim, idx) = highest_degree_victim_indexed(&mut g);
         assert_eq!(victim, NodeId::new(2));
         assert_eq!(g.id_at(idx), Some(NodeId::new(2)));
         // Tie-break: with all-equal degrees the smallest identifier wins.
@@ -434,7 +408,7 @@ mod tests {
         for raw in [7u64, 3, 5] {
             g.add_node(NodeId::new(raw), 0).unwrap();
         }
-        let (victim, _) = highest_degree_victim(&g);
+        let (victim, _) = highest_degree_victim_indexed(&mut g);
         assert_eq!(victim, NodeId::new(3));
     }
 

@@ -64,12 +64,6 @@ impl ChurnSummary {
             self.deaths.push(id);
         }
     }
-
-    /// Total number of churn events summarised.
-    #[must_use]
-    pub fn churn_count(&self) -> usize {
-        self.births.len() + self.deaths.len()
-    }
 }
 
 #[cfg(test)]
@@ -95,13 +89,11 @@ mod tests {
         let mut deaths = first.deaths.clone();
         deaths.sort();
         assert_eq!(deaths, vec![id(1), id(2)]);
-        assert_eq!(first.churn_count(), 3);
     }
 
     #[test]
     fn empty_summary_has_no_churn() {
         let s = ChurnSummary::new();
-        assert_eq!(s.churn_count(), 0);
         assert!(s.births.is_empty() && s.deaths.is_empty());
     }
 }

@@ -135,26 +135,6 @@ pub fn measure_expansion_on<R: Rng + ?Sized>(
     }
 }
 
-/// Measures expansion repeatedly while the model keeps evolving: one measurement
-/// every `interval` time units, `samples` times. The model is advanced in place.
-pub fn expansion_trajectory<M: DynamicNetwork, R: Rng + ?Sized>(
-    model: &mut M,
-    samples: usize,
-    interval: u64,
-    range: SizeRange,
-    config: &ExpansionConfig,
-    rng: &mut R,
-) -> Vec<ExpansionReport> {
-    let mut reports = Vec::with_capacity(samples);
-    for i in 0..samples {
-        if i > 0 {
-            model.advance_time_units(interval);
-        }
-        reports.push(measure_expansion(model, range, config, rng));
-    }
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,30 +206,6 @@ mod tests {
             "large subsets of a d = 24 SDG snapshot should expand, got {value}"
         );
         assert!(report.size_bounds.0 > 1);
-    }
-
-    #[test]
-    fn trajectory_produces_requested_samples_and_advances_model() {
-        let mut model = warm_model(100, 6, EdgePolicy::Regenerate, 4);
-        let time_before = model.time();
-        let mut rng = seeded_rng(9);
-        let reports = expansion_trajectory(
-            &mut model,
-            4,
-            10,
-            SizeRange::Full,
-            &ExpansionConfig::fast(),
-            &mut rng,
-        );
-        assert_eq!(reports.len(), 4);
-        assert!((model.time() - time_before - 30.0).abs() < 1e-9);
-        for w in reports.windows(2) {
-            assert!(w[1].time >= w[0].time);
-        }
-        for r in &reports {
-            assert_eq!(r.alive, 100);
-            assert!(r.value().is_some());
-        }
     }
 
     #[test]

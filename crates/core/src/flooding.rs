@@ -305,12 +305,6 @@ impl AtomicBitset {
         }
     }
 
-    /// Number of 64-bit words currently backing the set.
-    #[must_use]
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     #[inline]
     fn split(idx: u32) -> (usize, u64) {
         ((idx / 64) as usize, 1u64 << (idx % 64))
@@ -773,7 +767,8 @@ fn pull_is_cheaper(informed: usize, alive: usize, d: usize) -> bool {
 ///   claims newly covered cells through the shared [`AtomicBitset`]'s
 ///   per-word fetch-OR, and stages the indices it won in a thread-local
 ///   buffer.
-/// * **Pull** (informed fraction past [`pull_is_cheaper`]'s crossover): each
+/// * **Pull** (informed fraction past the push/pull crossover near
+///   `√(1/2d)`, where `informed² · 2d ≥ alive²`): each
 ///   worker walks one contiguous slab range
 ///   ([`DynamicGraph::par_alive_ranges`]) and informs every uninformed alive
 ///   cell that has a neighbour in the *frozen* pre-round bitset snapshot —
@@ -829,19 +824,9 @@ impl ParallelFrontier {
         }
     }
 
-    /// Starts a parallel flooding process from an alive source node with a
-    /// thread budget (`0` = one shard per pool thread). Returns `None` if
-    /// `source` is not alive in `model`.
-    pub fn from_source<M: DynamicNetwork + ?Sized>(
-        model: &M,
-        source: NodeId,
-        threads: usize,
-    ) -> Option<Self> {
-        FloodingProcess::from_source(model, source).map(|p| Self::wrap(p, threads))
-    }
-
     /// Resolves a [`FloodingSource`] (possibly advancing the model to the
-    /// next join) and starts the engine from it.
+    /// next join) and starts the engine from it with a thread budget (`0` =
+    /// one shard per pool thread).
     pub fn start<M: DynamicNetwork + ?Sized>(
         model: &mut M,
         source: FloodingSource,
@@ -1638,7 +1623,6 @@ mod tests {
     #[test]
     fn atomic_bitset_exclusive_and_shared_paths_agree() {
         let mut set = AtomicBitset::with_bit_capacity(200);
-        assert_eq!(set.word_count(), 4);
         assert!(set.set(3) && !set.set(3));
         assert!(set.test(3) && !set.test(4));
         assert!(set.set_shared(130), "first shared set claims the bit");
@@ -1656,7 +1640,7 @@ mod tests {
         // Exclusive set grows on demand; shared set must not need to.
         let mut growing = AtomicBitset::default();
         assert!(growing.set(500));
-        assert!(growing.word_count() >= 8);
+        assert!(growing.test(500));
     }
 
     #[test]
@@ -1714,8 +1698,7 @@ mod tests {
         // for the sharded engine: stale entries must drop out, not re-seed.
         let mut model = sdgr(64, 4, 21);
         let source = model.alive_ids()[5];
-        let mut engine = ParallelFrontier::from_source(&model, source, 4)
-            .unwrap()
+        let mut engine = ParallelFrontier::start(&mut model, FloodingSource::Node(source), 4)
             .with_sequential_cutoff(0);
         for _ in 0..(2 * 64) {
             model.advance_time_unit();
@@ -1756,7 +1739,6 @@ mod tests {
         assert!(!engine.is_complete());
         assert!(engine.start_time() >= 0.0);
         assert_eq!(engine.last_direction(), FrontierDirection::Sequential);
-        assert!(ParallelFrontier::from_source(&model, NodeId::new(u64::MAX), 2).is_none());
     }
 
     #[test]

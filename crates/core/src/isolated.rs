@@ -40,16 +40,6 @@ impl IsolationReport {
             self.isolated_now.len() as f64 / self.alive as f64
         }
     }
-
-    /// Fraction of alive nodes that are isolated for the rest of their lifetime.
-    #[must_use]
-    pub fn lifetime_isolated_fraction(&self) -> f64 {
-        if self.alive == 0 {
-            0.0
-        } else {
-            self.lifetime_isolated.len() as f64 / self.alive as f64
-        }
-    }
 }
 
 /// Identifiers of the nodes currently isolated (degree zero) in the model.
@@ -179,7 +169,7 @@ mod tests {
         for id in &report.lifetime_isolated {
             assert!(now.contains(id));
         }
-        assert!(report.isolated_fraction() >= report.lifetime_isolated_fraction());
+        assert!(report.lifetime_isolated.len() <= report.isolated_now.len());
         assert!(report.alive == 200);
         assert_eq!(report.horizon, 200);
     }
@@ -245,6 +235,5 @@ mod tests {
             horizon: 10,
         };
         assert_eq!(report.isolated_fraction(), 0.0);
-        assert_eq!(report.lifetime_isolated_fraction(), 0.0);
     }
 }

@@ -133,12 +133,6 @@ impl PoissonModel {
         }
     }
 
-    /// Number of jump-chain rounds `r` processed so far (Definition 4.5).
-    #[must_use]
-    pub fn jump_count(&self) -> u64 {
-        self.jumps
-    }
-
     /// Processes exactly one jump-chain event and returns it.
     pub fn next_jump(&mut self) -> PoissonEvent {
         let jump = self.chain.next_jump(self.graph.len() as u64, &mut self.rng);
@@ -161,18 +155,6 @@ impl PoissonModel {
                 }
             }
         }
-    }
-
-    /// Processes `rounds` jump-chain events, returning the merged churn summary.
-    pub fn advance_jumps(&mut self, rounds: u64) -> ChurnSummary {
-        let mut summary = ChurnSummary::new();
-        for _ in 0..rounds {
-            match self.next_jump() {
-                PoissonEvent::Arrival { id, .. } => summary.record_birth(id),
-                PoissonEvent::Departure { id, .. } => summary.record_death(id),
-            }
-        }
-        summary
     }
 
     /// Advances continuous time up to `target`, processing every churn event in
@@ -436,7 +418,7 @@ mod tests {
             assert!(t >= last_time);
             last_time = t;
         }
-        assert_eq!(m.jump_count(), 500);
+        assert_eq!(m.churn_steps(), 500);
         assert!((m.time() - last_time).abs() < 1e-12);
     }
 
@@ -549,7 +531,7 @@ mod tests {
         b.advance_until(250.0);
         assert_eq!(a.alive_ids(), b.alive_ids());
         assert_eq!(Snapshot::of(a.graph()), Snapshot::of(b.graph()));
-        assert_eq!(a.jump_count(), b.jump_count());
+        assert_eq!(a.churn_steps(), b.churn_steps());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Closed-form predictions from the paper's theorems and lemmas.
 //!
-//! These are the quantities the experiment harness prints next to the measured
-//! values in `EXPERIMENTS.md`. Each function documents which statement of the
-//! paper it comes from. All bounds are asymptotic ("for sufficiently large n",
+//! These are the quantities the experiment reports print next to the measured
+//! values. Each function documents which statement of the paper it comes
+//! from. All bounds are asymptotic ("for sufficiently large n",
 //! "w.h.p."), so at simulation sizes they predict *shapes and orderings* rather
 //! than exact values; the constants are the paper's.
 

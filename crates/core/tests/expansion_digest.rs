@@ -39,7 +39,6 @@ fn family_code(family: CandidateFamily) -> u64 {
         CandidateFamily::BfsBall => 3,
         CandidateFamily::SpectralSweep => 4,
         CandidateFamily::RandomSet => 5,
-        CandidateFamily::Custom => 6,
     }
 }
 

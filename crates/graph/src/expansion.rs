@@ -27,7 +27,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::traversal::connected_components;
-use crate::{NodeId, Snapshot};
+use crate::Snapshot;
 
 /// Outer boundary `∂_out(S)`: the nodes outside `S` with at least one neighbour
 /// inside `S`. `set` contains node indices of the snapshot; duplicates are
@@ -91,8 +91,6 @@ pub enum CandidateFamily {
     SpectralSweep,
     /// A uniformly random subset.
     RandomSet,
-    /// A caller-supplied set (e.g. the informed set of a flooding process).
-    Custom,
 }
 
 impl std::fmt::Display for CandidateFamily {
@@ -103,7 +101,6 @@ impl std::fmt::Display for CandidateFamily {
             CandidateFamily::BfsBall => "bfs-ball",
             CandidateFamily::SpectralSweep => "spectral-sweep",
             CandidateFamily::RandomSet => "random-set",
-            CandidateFamily::Custom => "custom",
         };
         f.write_str(s)
     }
@@ -615,38 +612,6 @@ impl SearchState {
     }
 }
 
-/// Evaluates a caller-supplied candidate set (e.g. an informed set from a
-/// flooding run) against an existing estimate, returning the combined worst
-/// witness. Useful for tightening estimates with sets the process itself
-/// produced.
-#[must_use]
-pub fn refine_with_custom_set(
-    snapshot: &Snapshot,
-    estimate: ExpansionEstimate,
-    set: &[usize],
-) -> ExpansionEstimate {
-    let distinct: Vec<usize> = {
-        let s: HashSet<usize> = set.iter().copied().collect();
-        s.into_iter().collect()
-    };
-    if distinct.is_empty() || distinct.len() > snapshot.len() / 2 {
-        return estimate;
-    }
-    let boundary = outer_boundary_size(snapshot, &distinct);
-    let ratio = boundary as f64 / distinct.len() as f64;
-    let mut out = estimate;
-    out.candidates_evaluated += 1;
-    if out.worst.as_ref().is_none_or(|w| ratio < w.ratio) {
-        out.worst = Some(ExpansionWitness {
-            size: distinct.len(),
-            boundary,
-            ratio,
-            family: CandidateFamily::Custom,
-        });
-    }
-    out
-}
-
 /// Orders vertices by an approximation of the Fiedler vector of the lazy
 /// random-walk matrix, computed by power iteration with deflation of the
 /// stationary distribution. Ties (and isolated vertices) are broken by index.
@@ -763,16 +728,6 @@ fn deflate(x: &mut [f64], degrees: &[f64], total_degree: f64) {
     }
 }
 
-/// Census of isolated nodes of a snapshot (degree 0), as node identifiers.
-#[must_use]
-pub fn isolated_nodes(snapshot: &Snapshot) -> Vec<NodeId> {
-    snapshot
-        .isolated_indices()
-        .into_iter()
-        .map(|i| snapshot.id_of(i))
-        .collect()
-}
-
 /// Fraction of nodes of the snapshot that are isolated (0 for an empty graph).
 #[must_use]
 pub fn isolated_fraction(snapshot: &Snapshot) -> f64 {
@@ -786,7 +741,7 @@ pub fn isolated_fraction(snapshot: &Snapshot) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1066,24 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_with_custom_set_can_lower_estimate() {
-        let snap = Snapshot::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let base = ExpansionEstimate {
-            worst: Some(ExpansionWitness {
-                size: 1,
-                boundary: 2,
-                ratio: 2.0,
-                family: CandidateFamily::Singleton,
-            }),
-            candidates_evaluated: 1,
-        };
-        let refined = refine_with_custom_set(&snap, base, &[0, 1, 2]);
-        let worst = refined.worst.unwrap();
-        assert_eq!(worst.ratio, 0.0);
-        assert_eq!(worst.family, CandidateFamily::Custom);
-    }
-
-    #[test]
     fn spectral_order_separates_two_cliques() {
         let mut r = rng();
         let mut edges = Vec::new();
@@ -1109,8 +1046,7 @@ mod tests {
     #[test]
     fn isolated_census_counts_degree_zero_nodes() {
         let snap = Snapshot::from_edges(5, &[(0, 1)]);
-        let isolated = isolated_nodes(&snap);
-        assert_eq!(isolated.len(), 3);
+        assert_eq!(snap.isolated_indices(), vec![2, 3, 4]);
         assert!((isolated_fraction(&snap) - 0.6).abs() < 1e-12);
         assert_eq!(isolated_fraction(&Snapshot::from_edges(0, &[])), 0.0);
     }

@@ -652,12 +652,6 @@ impl DynamicGraph {
         self.degree = Some(index);
     }
 
-    /// Returns `true` while the degree-bucketed member index is enabled.
-    #[must_use]
-    pub fn degree_index_enabled(&self) -> bool {
-        self.degree.is_some()
-    }
-
     /// The alive node with the most incident links (with multiplicity,
     /// [`Self::incident_link_count_at`]), ties broken towards the smallest
     /// identifier, or `None` for an empty graph.
@@ -1083,7 +1077,7 @@ impl DynamicGraph {
     /// Iterates the out-slot targets of the node at `idx`, in slot order —
     /// `None` for an unconnected slot. Yields nothing when the cell is vacant
     /// or out of range. This is the allocation-free dense flavour of
-    /// [`Self::out_slots`] / [`Self::empty_out_slots`]: overlay maintenance
+    /// [`Self::out_slots`]: overlay maintenance
     /// loops walk it to find empty slots without touching the identifier map.
     pub fn out_slot_targets_at(&self, idx: u32) -> impl Iterator<Item = Option<u32>> + '_ {
         self.slab
@@ -1119,23 +1113,9 @@ impl DynamicGraph {
             .map(|rec| rec.filled_out() + rec.in_refs.len())
     }
 
-    /// The owner (dense index) of the earliest-recorded surviving in-reference
-    /// of the node at `idx`, or `None` when the cell is vacant or has no
-    /// in-references.
-    ///
-    /// The in-reference multiset is compacted with swap-removes, so this is
-    /// the *approximately* oldest incoming link — exact while no in-reference
-    /// was dropped, and always one of the older survivors otherwise. That is
-    /// the precision an eviction heuristic (e.g. the RAES `evict-oldest`
-    /// saturation policy) needs.
-    #[must_use]
-    pub fn oldest_in_ref_at(&self, idx: u32) -> Option<u32> {
-        let rec = self.slab.get(idx as usize).and_then(|cell| cell.as_ref())?;
-        (!rec.in_refs.is_empty()).then(|| rec.in_refs.get(0))
-    }
-
     /// Severs the earliest-recorded in-reference of `idx` (its approximately
-    /// oldest incoming link, see [`Self::oldest_in_ref_at`]): the pointing
+    /// oldest incoming link: exact while no in-reference was dropped, since
+    /// other removals compact the list with swap-removes): the pointing
     /// out-slot of the owning node is cleared. Returns the owner's dense
     /// index and the cleared slot, or `None` when `idx` is vacant or has no
     /// in-references.
@@ -1549,8 +1529,8 @@ impl DynamicGraph {
 
     /// The out-slot targets of `id`, or `None` if `id` is not alive.
     ///
-    /// Allocates a fresh vector and resolves every target's identifier; use
-    /// [`Self::out_slots_into`] with a reused buffer in loops over many nodes.
+    /// Allocates a fresh vector and resolves every target's identifier; loops
+    /// over many nodes walk [`Self::out_slot_targets_at`] instead.
     #[must_use]
     pub fn out_slots(&self, id: NodeId) -> Option<Vec<Option<NodeId>>> {
         let idx = self.dense_index_of(id)?;
@@ -1561,22 +1541,6 @@ impl DynamicGraph {
                 .map(|slot| (slot != NO_TARGET).then(|| self.record(slot).id))
                 .collect(),
         )
-    }
-
-    /// Appends the out-slot targets of `id` (in slot order, `None` for
-    /// unconnected slots) to `out` without allocating; returns `false` (and
-    /// appends nothing) when `id` is not alive.
-    pub fn out_slots_into(&self, id: NodeId, out: &mut Vec<Option<NodeId>>) -> bool {
-        let Some(idx) = self.dense_index_of(id) else {
-            return false;
-        };
-        out.extend(
-            self.record(idx)
-                .out_slots
-                .iter()
-                .map(|slot| (slot != NO_TARGET).then(|| self.record(slot).id)),
-        );
-        true
     }
 
     /// Number of out-slots `id` owns (connected or not).
@@ -1591,35 +1555,6 @@ impl DynamicGraph {
     pub fn out_degree(&self, id: NodeId) -> Option<usize> {
         let idx = self.dense_index_of(id)?;
         Some(self.record(idx).filled_out())
-    }
-
-    /// Indices of the currently unconnected out-slots of `id`.
-    #[must_use]
-    pub fn empty_out_slots(&self, id: NodeId) -> Option<Vec<usize>> {
-        let idx = self.dense_index_of(id)?;
-        Some(
-            self.record(idx)
-                .out_slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| (s == NO_TARGET).then_some(i))
-                .collect(),
-        )
-    }
-
-    /// Distinct nodes that hold at least one out-slot pointing at `id`.
-    #[must_use]
-    pub fn in_neighbors(&self, id: NodeId) -> Option<Vec<NodeId>> {
-        let idx = self.dense_index_of(id)?;
-        let mut v: Vec<NodeId> = self
-            .record(idx)
-            .in_refs
-            .iter()
-            .map(|owner| self.record(owner).id)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        Some(v)
     }
 
     /// Total number of out-slots (of other nodes) pointing at `id`, with
@@ -2007,8 +1942,8 @@ mod tests {
         g.add_node(id(0), 3).unwrap();
         g.add_node(id(1), 3).unwrap();
         g.set_out_slot(id(0), 1, id(1)).unwrap();
-        assert_eq!(g.empty_out_slots(id(0)), Some(vec![0, 2]));
-        assert_eq!(g.empty_out_slots(id(7)), None);
+        assert_eq!(g.out_slots(id(0)), Some(vec![None, Some(id(1)), None]));
+        assert_eq!(g.out_slots(id(7)), None);
     }
 
     #[test]
@@ -2154,17 +2089,13 @@ mod tests {
         for raw in 0..4 {
             g.add_node(id(raw), 2).unwrap();
         }
-        let at = |raw: u64, g: &DynamicGraph| g.dense_index_of(id(raw)).unwrap();
         g.set_out_slot(id(1), 0, id(0)).unwrap();
         g.set_out_slot(id(2), 0, id(0)).unwrap();
         g.set_out_slot(id(2), 1, id(0)).unwrap();
-        let zero = at(0, &g);
+        let zero = g.dense_index_of(id(0)).unwrap();
         assert_eq!(g.in_request_count_at(zero), Some(3));
+        assert_eq!(g.in_request_count(id(0)), Some(3));
         assert_eq!(g.in_request_count_at(99), None);
-        // Oldest in-reference is the first recorded one (node 1).
-        assert_eq!(g.oldest_in_ref_at(zero), Some(at(1, &g)));
-        assert_eq!(g.oldest_in_ref_at(at(3, &g)), None, "no in-references");
-        assert_eq!(g.oldest_in_ref_at(99), None);
     }
 
     #[test]
@@ -2445,7 +2376,6 @@ mod tests {
         // removals, recycling and retargeted slots.
         let mut indexed = DynamicGraph::new();
         indexed.set_degree_index(true);
-        assert!(indexed.degree_index_enabled());
         let mut scanned = DynamicGraph::new();
         let mut rng = StdRng::seed_from_u64(42);
         let mut next_id = 0u64;
@@ -2482,7 +2412,6 @@ mod tests {
         }
         // Disabling drops the index; the query falls back to the scan.
         indexed.set_degree_index(false);
-        assert!(!indexed.degree_index_enabled());
         assert_eq!(
             indexed.highest_degree_member(),
             scanned.highest_degree_member()

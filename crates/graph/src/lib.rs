@@ -15,12 +15,13 @@
 //!   O(1) amortised join / leave / rewire operations,
 //! * [`Snapshot`] — an immutable, CSR-style view of a graph at one instant,
 //! * [`hashing`] — the fast identifier hasher backing the `NodeId → index` map,
-//! * [`traversal`] — BFS layers, connected components, diameter bounds,
+//! * [`traversal`] — BFS distances and layers, connected components, static
+//!   flooding time,
 //! * [`expansion`] — outer boundaries, vertex expansion (exact for small graphs,
 //!   candidate-set estimation for large ones), isolated node census,
 //! * [`generators`] — static baselines such as the `d`-out random graph of the
 //!   paper's Lemma B.1 and Erdős–Rényi graphs,
-//! * [`metrics`] — degree statistics and histograms.
+//! * [`metrics`] — degree histograms and the average degree.
 //!
 //! Nothing in this crate knows about churn distributions or time; that lives in
 //! `churn-core`, which drives a [`DynamicGraph`] according to the paper's models.

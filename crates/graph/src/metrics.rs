@@ -1,90 +1,6 @@
-//! Degree statistics and simple structural metrics of snapshots.
-
-use serde::{Deserialize, Serialize};
+//! Degree histogram and average degree of snapshots.
 
 use crate::Snapshot;
-
-/// Summary statistics of the degree sequence of a snapshot.
-///
-/// The paper's models keep the expected degree at `d` (without regeneration,
-/// Lemma 6.1) or exactly `d` out-requests per node (with regeneration), while the
-/// maximum degree can grow to `O(log n)` (Section 5); these statistics let the
-/// experiments verify both facts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DegreeStats {
-    /// Number of nodes observed.
-    pub nodes: usize,
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Population variance of the degree.
-    pub variance: f64,
-    /// Number of isolated (degree-0) nodes.
-    pub isolated: usize,
-}
-
-impl DegreeStats {
-    /// Standard deviation of the degree.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Fraction of isolated nodes (0 for an empty snapshot).
-    #[must_use]
-    pub fn isolated_fraction(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.isolated as f64 / self.nodes as f64
-        }
-    }
-}
-
-/// Computes [`DegreeStats`] of a snapshot. Returns a zeroed record for an empty
-/// snapshot.
-#[must_use]
-pub fn degree_stats(snapshot: &Snapshot) -> DegreeStats {
-    let n = snapshot.len();
-    if n == 0 {
-        return DegreeStats {
-            nodes: 0,
-            min: 0,
-            max: 0,
-            mean: 0.0,
-            variance: 0.0,
-            isolated: 0,
-        };
-    }
-    let mut min = usize::MAX;
-    let mut max = 0usize;
-    let mut sum = 0usize;
-    let mut sum_sq = 0f64;
-    let mut isolated = 0usize;
-    for i in 0..n {
-        let deg = snapshot.degree_of(i);
-        min = min.min(deg);
-        max = max.max(deg);
-        sum += deg;
-        sum_sq += (deg * deg) as f64;
-        if deg == 0 {
-            isolated += 1;
-        }
-    }
-    let mean = sum as f64 / n as f64;
-    let variance = sum_sq / n as f64 - mean * mean;
-    DegreeStats {
-        nodes: n,
-        min,
-        max,
-        mean,
-        variance: variance.max(0.0),
-        isolated,
-    }
-}
 
 /// Histogram of node degrees: `histogram[k]` is the number of nodes with degree
 /// exactly `k`. The vector's length is `max_degree + 1` (empty for an empty
@@ -113,16 +29,6 @@ pub fn average_degree(snapshot: &Snapshot) -> f64 {
     }
 }
 
-/// Edge density: number of edges over `n(n-1)/2` (0 for graphs with < 2 nodes).
-#[must_use]
-pub fn edge_density(snapshot: &Snapshot) -> f64 {
-    let n = snapshot.len();
-    if n < 2 {
-        return 0.0;
-    }
-    snapshot.edge_count() as f64 / ((n * (n - 1)) as f64 / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,34 +36,22 @@ mod tests {
     #[test]
     fn stats_of_empty_snapshot_are_zero() {
         let snap = Snapshot::from_edges(0, &[]);
-        let stats = degree_stats(&snap);
-        assert_eq!(stats.nodes, 0);
-        assert_eq!(stats.mean, 0.0);
-        assert_eq!(stats.isolated_fraction(), 0.0);
         assert!(degree_histogram(&snap).is_empty());
         assert_eq!(average_degree(&snap), 0.0);
-        assert_eq!(edge_density(&snap), 0.0);
     }
 
     #[test]
     fn stats_of_star_graph() {
         let edges: Vec<(usize, usize)> = (1..6).map(|i| (0, i)).collect();
         let snap = Snapshot::from_edges(6, &edges);
-        let stats = degree_stats(&snap);
-        assert_eq!(stats.nodes, 6);
-        assert_eq!(stats.min, 1);
-        assert_eq!(stats.max, 5);
-        assert!((stats.mean - 10.0 / 6.0).abs() < 1e-12);
-        assert_eq!(stats.isolated, 0);
-        assert!(stats.std_dev() > 0.0);
+        assert_eq!(degree_histogram(&snap), vec![0, 5, 0, 0, 0, 1]);
+        assert!((average_degree(&snap) - 10.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn stats_count_isolated_nodes() {
         let snap = Snapshot::from_edges(5, &[(0, 1)]);
-        let stats = degree_stats(&snap);
-        assert_eq!(stats.isolated, 3);
-        assert!((stats.isolated_fraction() - 0.6).abs() < 1e-12);
+        assert_eq!(degree_histogram(&snap), vec![3, 2]);
     }
 
     #[test]
@@ -177,6 +71,6 @@ mod tests {
             .collect();
         let snap = Snapshot::from_edges(5, &edges);
         assert!((average_degree(&snap) - 4.0).abs() < 1e-12);
-        assert!((edge_density(&snap) - 1.0).abs() < 1e-12);
+        assert_eq!(snap.edge_count(), 5 * 4 / 2, "density 1");
     }
 }

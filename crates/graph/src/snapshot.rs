@@ -298,16 +298,6 @@ impl Snapshot {
         self.adjacency.len() / 2
     }
 
-    /// The node identifier at compact index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn id_of(&self, i: usize) -> NodeId {
-        self.ids[i]
-    }
-
     /// All node identifiers, in increasing order (index order).
     #[must_use]
     pub fn ids(&self) -> &[NodeId] {
@@ -434,7 +424,6 @@ mod tests {
         let snap = Snapshot::of(&g);
         assert_eq!(snap.ids(), &[id(2), id(5), id(7)]);
         assert_eq!(snap.index_of(id(5)), Some(1));
-        assert_eq!(snap.id_of(2), id(7));
         assert_eq!(snap.index_of(id(99)), None);
     }
 

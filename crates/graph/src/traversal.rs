@@ -4,7 +4,7 @@
 //! nodes informed after `k` rounds is the ball of radius `k` around the source.
 //! The routines in this module provide that static picture (used by the paper's
 //! Lemma B.1 baseline and by many tests), plus the connectivity diagnostics the
-//! experiments report (component sizes, diameter estimates).
+//! experiments report (component sizes).
 
 use std::collections::VecDeque;
 
@@ -53,19 +53,6 @@ pub fn bfs_layers(snapshot: &Snapshot, source: usize) -> Vec<Vec<usize>> {
         }
     }
     layers
-}
-
-/// Number of nodes reachable from `source` (including `source` itself).
-///
-/// # Panics
-///
-/// Panics if `source >= snapshot.len()`.
-#[must_use]
-pub fn reachable_count(snapshot: &Snapshot, source: usize) -> usize {
-    bfs_distances(snapshot, source)
-        .iter()
-        .filter(|d| d.is_some())
-        .count()
 }
 
 /// Connected-component labelling of the snapshot.
@@ -137,53 +124,6 @@ pub fn connected_components(snapshot: &Snapshot) -> Components {
     Components { component, sizes }
 }
 
-/// Eccentricity of `source` (largest finite BFS distance), ignoring unreachable
-/// nodes. Returns 0 when `source` is isolated.
-///
-/// # Panics
-///
-/// Panics if `source >= snapshot.len()`.
-#[must_use]
-pub fn eccentricity(snapshot: &Snapshot, source: usize) -> u32 {
-    bfs_distances(snapshot, source)
-        .iter()
-        .flatten()
-        .copied()
-        .max()
-        .unwrap_or(0)
-}
-
-/// Exact diameter of the largest connected component, by all-pairs BFS.
-///
-/// Cost is `O(n · (n + m))`; intended for graphs up to a few thousand nodes
-/// (tests, examples, small experiments). Returns 0 for an empty snapshot.
-#[must_use]
-pub fn diameter_exact(snapshot: &Snapshot) -> u32 {
-    (0..snapshot.len())
-        .map(|i| eccentricity(snapshot, i))
-        .max()
-        .unwrap_or(0)
-}
-
-/// Double-sweep lower bound on the diameter: BFS from `start`, then BFS from
-/// the farthest node found. Two BFS passes; exact on trees, a lower bound in
-/// general.
-///
-/// # Panics
-///
-/// Panics if the snapshot is empty or `start >= snapshot.len()`.
-#[must_use]
-pub fn diameter_double_sweep(snapshot: &Snapshot, start: usize) -> u32 {
-    let first = bfs_distances(snapshot, start);
-    let farthest = first
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.map(|d| (i, d)))
-        .max_by_key(|&(_, d)| d)
-        .map_or(start, |(i, _)| i);
-    eccentricity(snapshot, farthest)
-}
-
 /// Rounds a synchronous flooding/BFS process needs to reach every node reachable
 /// from `source`; `None` if the snapshot is not connected (some node is never
 /// reached). This is the static analogue of the paper's flooding time.
@@ -244,7 +184,7 @@ mod tests {
         let snap = two_triangles();
         let dist = bfs_distances(&snap, 0);
         assert!(dist[3].is_none() && dist[4].is_none() && dist[5].is_none());
-        assert_eq!(reachable_count(&snap, 0), 3);
+        assert_eq!(dist.iter().flatten().count(), 3);
     }
 
     #[test]
@@ -273,21 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_and_diameter_on_path() {
-        let snap = path(5);
-        assert_eq!(eccentricity(&snap, 0), 4);
-        assert_eq!(eccentricity(&snap, 2), 2);
-        assert_eq!(diameter_exact(&snap), 4);
-        assert_eq!(diameter_double_sweep(&snap, 2), 4);
-    }
-
-    #[test]
-    fn diameter_of_disconnected_graph_is_per_component() {
-        let snap = two_triangles();
-        assert_eq!(diameter_exact(&snap), 1);
-    }
-
-    #[test]
     fn static_flooding_time_matches_eccentricity_when_connected() {
         let snap = path(7);
         assert_eq!(static_flooding_time(&snap, 0), Some(6));
@@ -298,7 +223,7 @@ mod tests {
     #[test]
     fn isolated_source_floods_only_itself() {
         let snap = Snapshot::from_edges(3, &[(1, 2)]);
-        assert_eq!(reachable_count(&snap, 0), 1);
-        assert_eq!(eccentricity(&snap, 0), 0);
+        assert_eq!(bfs_distances(&snap, 0), vec![Some(0), None, None]);
+        assert_eq!(static_flooding_time(&snap, 0), None);
     }
 }

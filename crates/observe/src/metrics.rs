@@ -112,23 +112,11 @@ impl LiveMetrics {
         self.degree_hist.first().copied().unwrap_or(0) as usize
     }
 
-    /// Alive nodes with distinct-neighbour degree at most `max_degree`.
-    #[must_use]
-    pub fn low_degree_count(&self, max_degree: usize) -> usize {
-        self.degree_hist.iter().take(max_degree + 1).sum::<u64>() as usize
-    }
-
     /// The degree histogram (index = distinct-neighbour degree; may carry
     /// trailing zero buckets — compare through [`Self::summary`]).
     #[must_use]
     pub fn degree_histogram(&self) -> &[u64] {
         &self.degree_hist
-    }
-
-    /// The in-request histogram (index = in-requests with multiplicity).
-    #[must_use]
-    pub fn in_request_histogram(&self) -> &[u64] {
-        &self.in_req_hist
     }
 
     /// Alive nodes whose in-request count is at least `cap` — with RAES's
@@ -143,21 +131,6 @@ impl LiveMetrics {
     #[must_use]
     pub fn max_in_requests(&self) -> usize {
         self.in_req_hist.iter().rposition(|&c| c != 0).unwrap_or(0)
-    }
-
-    /// Mean distinct-neighbour degree (0 for an empty graph).
-    #[must_use]
-    pub fn mean_degree(&self) -> f64 {
-        if self.alive == 0 {
-            return 0.0;
-        }
-        let total: u64 = self
-            .degree_hist
-            .iter()
-            .enumerate()
-            .map(|(deg, &count)| deg as u64 * count)
-            .sum();
-        total as f64 / self.alive as f64
     }
 
     /// A normalised digest for equality comparisons.
@@ -298,12 +271,6 @@ impl BehaviorCensus {
     #[must_use]
     pub fn byzantine_count(&self) -> usize {
         self.alive - self.counts[0]
-    }
-
-    /// Alive nodes carrying exactly this tag byte.
-    #[must_use]
-    pub fn count_of_tag(&self, tag: u8) -> usize {
-        self.counts[tag as usize]
     }
 
     /// The realized corrupted fraction of the alive population (0 when the

@@ -67,12 +67,6 @@ impl LifetimeIsolation {
         self.remaining
     }
 
-    /// Candidates that already died while still isolated.
-    #[must_use]
-    pub fn confirmed_count(&self) -> usize {
-        self.confirmed.len()
-    }
-
     /// Processes one delta window: candidate deaths confirm (death order in
     /// the feed precedes any same-window rebirth of the cell, so recycling
     /// cannot resurrect a candidacy), and dirty candidates that picked up an
@@ -235,12 +229,6 @@ impl RecoveryCensus {
         self.alive.len()
     }
 
-    /// Alive nodes across all blocks.
-    #[must_use]
-    pub fn alive_total(&self) -> usize {
-        self.alive.iter().sum()
-    }
-
     /// Informed alive nodes across all blocks.
     #[must_use]
     pub fn informed_total(&self) -> usize {
@@ -282,28 +270,6 @@ impl RecoveryCensus {
         self.fractions().iter().copied().fold(1.0, f64::min)
     }
 
-    /// The alive share of the largest block — the fraction the overall
-    /// informed curve stalls at while a partition confines the flood to the
-    /// source's (majority) block.
-    #[must_use]
-    pub fn majority_fraction(&self) -> f64 {
-        let total = self.alive_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.alive.iter().copied().max().unwrap_or(0) as f64 / total as f64
-    }
-
-    /// Overall informed fraction of the alive population (1 when empty).
-    #[must_use]
-    pub fn overall_fraction(&self) -> f64 {
-        let total = self.alive_total();
-        if total == 0 {
-            return 1.0;
-        }
-        self.informed_total() as f64 / total as f64
-    }
-
     /// `true` once every block is fully informed — the flood recovered from
     /// the partition.
     #[must_use]
@@ -333,14 +299,12 @@ mod tests {
         let graph = graph_of(8);
         let census = RecoveryCensus::take(&graph, 2, |id| (id % 2) as u32, |id| id < 4);
         assert_eq!(census.blocks(), 2);
-        assert_eq!(census.alive_total(), 8);
         assert_eq!(census.informed_total(), 4);
         assert_eq!(census.block(0), (4, 2));
         assert_eq!(census.block(1), (4, 2));
         assert_eq!(census.block(7), (0, 0));
         assert!((census.block_fraction(0) - 0.5).abs() < 1e-12);
         assert!((census.min_fraction() - 0.5).abs() < 1e-12);
-        assert!((census.overall_fraction() - 0.5).abs() < 1e-12);
         assert!(!census.recovered());
     }
 
@@ -349,7 +313,8 @@ mod tests {
         // 6 nodes in block 0, 2 in block 1, everyone informed.
         let graph = graph_of(8);
         let census = RecoveryCensus::take(&graph, 2, |id| u32::from(id >= 6), |_| true);
-        assert!((census.majority_fraction() - 0.75).abs() < 1e-12);
+        assert_eq!(census.block(0), (6, 6), "the majority block");
+        assert_eq!(census.block(1), (2, 2));
         assert!(census.recovered());
         assert_eq!(census.fractions(), vec![1.0, 1.0]);
         assert!((census.min_fraction() - 1.0).abs() < 1e-12);
@@ -366,8 +331,6 @@ mod tests {
         let empty = DynamicGraph::with_capacity(4);
         let census = RecoveryCensus::take(&empty, 3, |_| 0, |_| true);
         assert!(census.recovered());
-        assert_eq!(census.overall_fraction(), 1.0);
-        assert_eq!(census.majority_fraction(), 0.0);
         assert_eq!(census.block_fraction(0), 1.0);
     }
 }

@@ -8,8 +8,8 @@
 //! result in block-propagation terms.
 //!
 //! The relay is generic over [`DynamicNetwork`]
-//! ([`propagate_block_over`] / [`propagate_block_from_over`]), so blocks can
-//! be relayed over any topology-maintenance substrate — the Bitcoin-Core-like
+//! ([`propagate_block_from_over`]), so blocks can be relayed over any
+//! topology-maintenance substrate — the Bitcoin-Core-like
 //! [`P2pNetwork`], or a [`RaesModel`]-maintained bounded-in-degree expander
 //! built with [`raes_overlay`]. Under the hood everything runs on the dense
 //! slab indices (the flooding bitset and, since the `AddressManager` /
@@ -46,14 +46,6 @@ pub struct PropagationReport {
     pub record: FloodingRecord,
 }
 
-impl PropagationReport {
-    /// Returns `true` when the block reached (essentially) the whole overlay.
-    #[must_use]
-    pub fn is_full_coverage(&self) -> bool {
-        self.delays_to_full.is_some()
-    }
-}
-
 /// Propagates a block from a freshly joined peer (the paper's source
 /// convention) and reports coverage milestones.
 pub fn propagate_block(overlay: &mut P2pNetwork, max_delays: u64) -> PropagationReport {
@@ -67,15 +59,6 @@ pub fn propagate_block_from(
     max_delays: u64,
 ) -> PropagationReport {
     propagate_block_from_over(overlay, source, max_delays)
-}
-
-/// [`propagate_block`] over any dynamic-network substrate (the overlay, a
-/// [`RaesModel`] built with [`raes_overlay`], or one of the paper models).
-pub fn propagate_block_over<M: DynamicNetwork>(
-    overlay: &mut M,
-    max_delays: u64,
-) -> PropagationReport {
-    propagate_block_from_over(overlay, FloodingSource::NextToJoin, max_delays)
 }
 
 /// [`propagate_block_from`] over any dynamic-network substrate.
@@ -92,9 +75,10 @@ pub fn propagate_block_from_over<M: DynamicNetwork>(
     summarize(record)
 }
 
-/// [`propagate_block_over`] with the sharded parallel frontier engine: same
-/// report delay-for-delay, but each relay hop fans across `threads` workers
-/// (`0` = one per pool thread). Worth it from roughly 10^5 online peers.
+/// [`propagate_block`] over any substrate, with the sharded parallel frontier
+/// engine: same report delay-for-delay, but each relay hop fans across
+/// `threads` workers (`0` = one per pool thread). Worth it from roughly 10^5
+/// online peers.
 pub fn propagate_block_parallel<M: DynamicNetwork>(
     overlay: &mut M,
     max_delays: u64,
@@ -117,7 +101,7 @@ pub fn propagate_block_parallel<M: DynamicNetwork>(
 /// factor `c = max_inbound / target_outbound` (the defaults give
 /// `c = 125/8`, i.e. an in-degree cap of exactly 125).
 ///
-/// The result implements [`DynamicNetwork`], so [`propagate_block_over`] and
+/// The result implements [`DynamicNetwork`], so [`propagate_block_from_over`] and
 /// the `health`/analysis machinery drive it like the dialling overlay.
 ///
 /// # Errors
@@ -200,8 +184,8 @@ mod tests {
     fn full_coverage_is_reported_when_complete() {
         let mut net = overlay(150, 2);
         let report = propagate_block(&mut net, 200);
-        if report.is_full_coverage() {
-            assert!(report.delays_to_full.unwrap() >= report.delays_to_99.unwrap_or(0));
+        if let Some(full) = report.delays_to_full {
+            assert!(full >= report.delays_to_99.unwrap_or(0));
             assert!(report.final_coverage > 0.99);
         } else {
             // Even without formal completion the coverage must be near-total.
@@ -216,7 +200,7 @@ mod tests {
         assert_eq!(overlay.in_degree_cap(), 125, "Bitcoin-Core inbound cap");
         assert_eq!(overlay.degree_parameter(), 8);
         overlay.warm_up();
-        let report = propagate_block_over(&mut overlay, 100);
+        let report = propagate_block_from_over(&mut overlay, FloodingSource::NextToJoin, 100);
         assert!(
             report.final_coverage > 0.95,
             "block coverage only {:.2} over RAES",

@@ -64,20 +64,6 @@ impl Behavior {
             Behavior::SilentOnFlood => 0x40 | TAG_BYZANTINE | TAG_NO_FORWARD,
         }
     }
-
-    /// Decodes a graph tag byte back into a behavior (`None` for bytes this
-    /// crate never writes).
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Behavior::Honest),
-            t if t == Behavior::RefuseAll.tag() => Some(Behavior::RefuseAll),
-            t if t == Behavior::AcceptThenDrop.tag() => Some(Behavior::AcceptThenDrop),
-            t if t == Behavior::CapSaturator.tag() => Some(Behavior::CapSaturator),
-            t if t == Behavior::SilentOnFlood.tag() => Some(Behavior::SilentOnFlood),
-            _ => None,
-        }
-    }
 }
 
 /// Which Byzantine behavior an adversary model assigns to its nodes.
@@ -215,6 +201,7 @@ mod tests {
 
     #[test]
     fn tags_round_trip_and_carry_the_flag_bits() {
+        let mut tags = Vec::new();
         for behavior in [
             Behavior::Honest,
             Behavior::RefuseAll,
@@ -222,14 +209,14 @@ mod tests {
             Behavior::CapSaturator,
             Behavior::SilentOnFlood,
         ] {
-            assert_eq!(Behavior::from_tag(behavior.tag()), Some(behavior));
+            assert!(!tags.contains(&behavior.tag()), "{behavior:?} shares a tag");
+            tags.push(behavior.tag());
             if behavior != Behavior::Honest {
                 assert_ne!(behavior.tag() & TAG_BYZANTINE, 0, "{behavior:?}");
             }
         }
         assert_ne!(Behavior::SilentOnFlood.tag() & TAG_NO_FORWARD, 0);
         assert_eq!(Behavior::RefuseAll.tag() & TAG_NO_FORWARD, 0);
-        assert_eq!(Behavior::from_tag(0xFF), None);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! checkpointed JSON-lines records, resume — plus metric aggregation with
 //! confidence intervals and table rendering (plain text, Markdown, CSV).
 //!
-//! Every registered experiment in `churn-bench` and every row of
-//! `EXPERIMENTS.md` is produced through this crate, so the paper's tables
-//! and figures are all regenerated by the same, uniformly seeded machinery.
+//! Every registered experiment in `churn-bench` is produced through this
+//! crate, so the paper's tables and figures are all regenerated by the same,
+//! uniformly seeded machinery.
 //!
 //! ## Example
 //!

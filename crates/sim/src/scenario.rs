@@ -33,10 +33,11 @@ use std::path::{Path, PathBuf};
 use rayon::prelude::*;
 
 use churn_core::driver::VictimPolicy;
-use churn_core::ModelKind;
+use churn_core::{ModelKind, PoissonConfig, StreamingConfig};
 use churn_event::{
     BandwidthModel, CrashRestart, FaultPlan, LatencyModel, LossModel, PartitionWindow,
 };
+use churn_p2p::P2pConfig;
 use churn_protocol::{AdversaryModel, ChurnDriver, RaesConfig, SaturationPolicy};
 use churn_stochastic::rng::derive_seed;
 use churn_telemetry::PhaseProfiler;
@@ -67,6 +68,20 @@ pub struct RaesNet {
     /// Byzantine adversary corrupting a fraction of spawns
     /// ([`AdversaryModel::None`] leaves the honest protocol bit-identical).
     pub adversary: AdversaryModel,
+}
+
+impl RaesNet {
+    /// The protocol config of one cell: these knobs at size `n`, degree `d`
+    /// and the cell's victim policy (seed left at its default).
+    fn config(&self, n: usize, d: usize, victim: VictimPolicy) -> RaesConfig {
+        RaesConfig::new(n, d)
+            .churn(self.churn)
+            .saturation(self.saturation)
+            .capacity_factor(self.capacity)
+            .attempts_per_round(self.attempts)
+            .adversary(self.adversary)
+            .victim_policy(victim)
+    }
 }
 
 impl Default for RaesNet {
@@ -208,6 +223,31 @@ impl NetSpec {
             NetSpec::P2p => 7,
         }
     }
+
+    /// Runs one grid point through the config validation of this net's
+    /// model, so that every cell of a validated scenario builds.
+    fn validate_point(&self, n: usize, d: usize, victim: VictimPolicy) -> Result<(), String> {
+        let checked = match self {
+            NetSpec::Baseline(kind) if kind.is_streaming() => StreamingConfig::new(n, d).validate(),
+            NetSpec::Baseline(_) => PoissonConfig::with_expected_size(n, d).validate(),
+            NetSpec::Raes(spec) => spec.config(n, d, victim).validate(),
+            NetSpec::P2p => p2p_config(n, d).validate(),
+            // The static d-out generator needs a second node to point at.
+            NetSpec::Static if n < 2 || d == 0 => {
+                return Err(format!(
+                    "a static d-out graph needs n ≥ 2 and d ≥ 1, got n = {n}, d = {d}"
+                ))
+            }
+            NetSpec::Static => Ok(()),
+        };
+        checked.map_err(|e| e.to_string())
+    }
+}
+
+/// The overlay config of one `P2p` cell: `d` outbound, Bitcoin Core's 125
+/// inbound (seed left at its default).
+fn p2p_config(n: usize, d: usize) -> P2pConfig {
+    P2pConfig::new(n).target_outbound(d).max_inbound(125)
 }
 
 impl std::fmt::Display for NetSpec {
@@ -947,16 +987,18 @@ impl Scenario {
                         self.name
                     ));
                 }
-                if let NetSpec::Raes(spec) = net {
-                    RaesConfig::new(16, 2)
-                        .churn(spec.churn)
-                        .saturation(spec.saturation)
-                        .capacity_factor(spec.capacity)
-                        .attempts_per_round(spec.attempts)
-                        .adversary(spec.adversary)
-                        .victim_policy(victim)
-                        .validate()
-                        .map_err(|e| format!("scenario {:?}: invalid RAES net: {e}", self.name))?;
+                for grid in [&self.full, &self.smoke] {
+                    for &n in &grid.sizes {
+                        for &d in &grid.degrees {
+                            net.validate_point(n, d, victim).map_err(|e| {
+                                format!(
+                                    "scenario {:?}: net {} at n = {n}, d = {d}: {e}",
+                                    self.name,
+                                    net.label()
+                                )
+                            })?;
+                        }
+                    }
                 }
                 if matches!(self.measurement, Measurement::AsyncRaes(_))
                     && victim != VictimPolicy::Uniform
@@ -2524,6 +2566,41 @@ mod tests {
         assert!(bad.validate().is_err());
         // The tiny scenario itself is fine.
         assert!(tiny_scenario().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_degenerate_grid_points() {
+        // n = 1 or d = 0 on either preset would panic in every cell's build.
+        let flooding = Measurement::Flooding(FloodingSpec {
+            budget: RoundBudget::Fixed(8),
+            record_isolation: false,
+        });
+        let p2p = Measurement::P2pPropagation {
+            blocks: 1,
+            smoke_blocks: 1,
+        };
+        let nets = [
+            (flooding, NetSpec::Baseline(ModelKind::Sdgr)),
+            (flooding, NetSpec::Baseline(ModelKind::Pdg)),
+            (flooding, NetSpec::raes_default()),
+            (Measurement::StaticBaseline, NetSpec::Static),
+            (p2p, NetSpec::P2p),
+        ];
+        for (measurement, net) in nets {
+            let scenario = |full: Grid, smoke: Grid| {
+                Scenario::new("x", "x", measurement)
+                    .nets([net])
+                    .full_grid(full)
+                    .smoke_grid(smoke)
+            };
+            let good = || Grid::new([32], [2], 1);
+            assert!(scenario(good(), good()).validate().is_ok(), "{net}");
+            for bad in [Grid::new([1], [2], 1), Grid::new([4], [0], 1)] {
+                let err = scenario(bad.clone(), good()).validate().unwrap_err();
+                assert!(err.contains(&net.label()), "{err}");
+                assert!(scenario(good(), bad).validate().is_err(), "{net} smoke");
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ use churn_observe::{
 };
 use churn_p2p::gossip::propagate_block_series;
 use churn_p2p::health::overlay_health;
-use churn_p2p::{P2pConfig, P2pNetwork};
-use churn_protocol::{RaesConfig, RaesModel};
+use churn_p2p::P2pNetwork;
+use churn_protocol::RaesModel;
 use churn_stochastic::rng::seeded_rng;
 use churn_stochastic::OnlineStats;
 
@@ -34,8 +34,8 @@ use churn_event::{
 use churn_telemetry::RoundSeries;
 
 use super::{
-    AsyncFloodingSpec, AsyncRaesSpec, CellSpec, ExpansionSpec, FloodingSpec, GridPreset,
-    Measurement, NetSpec,
+    p2p_config, AsyncFloodingSpec, AsyncRaesSpec, CellSpec, ExpansionSpec, FloodingSpec,
+    GridPreset, Measurement, NetSpec,
 };
 use crate::observer::observe_rounds;
 
@@ -132,26 +132,12 @@ fn build_net(cell: &CellSpec, seed: u64) -> AnyNet {
                 .expect("scenario validated at registration"),
         ),
         NetSpec::Raes(spec) => AnyNet::Raes(Box::new(
-            RaesModel::new(
-                RaesConfig::new(cell.n, cell.d)
-                    .churn(spec.churn)
-                    .saturation(spec.saturation)
-                    .capacity_factor(spec.capacity)
-                    .attempts_per_round(spec.attempts)
-                    .adversary(spec.adversary)
-                    .victim_policy(cell.victim)
-                    .seed(seed),
-            )
-            .expect("scenario validated at registration"),
+            RaesModel::new(spec.config(cell.n, cell.d, cell.victim).seed(seed))
+                .expect("scenario validated at registration"),
         )),
         NetSpec::P2p => AnyNet::P2p(Box::new(
-            P2pNetwork::new(
-                P2pConfig::new(cell.n)
-                    .target_outbound(cell.d)
-                    .max_inbound(125)
-                    .seed(seed),
-            )
-            .expect("scenario validated at registration"),
+            P2pNetwork::new(p2p_config(cell.n, cell.d).seed(seed))
+                .expect("scenario validated at registration"),
         )),
         NetSpec::Static => unreachable!("static cells never build a dynamic network"),
     }
@@ -1116,8 +1102,8 @@ mod tests {
             event_flooding::TRACE_PULL,
         ];
         let run = |trace: TraceMode| {
-            let mut model =
-                RaesModel::new(RaesConfig::new(64, 3).seed(99)).expect("valid RAES config");
+            let mut model = RaesModel::new(churn_protocol::RaesConfig::new(64, 3).seed(99))
+                .expect("valid RAES config");
             model.warm_up();
             let initial_alive = model.alive_count() as f64;
             let cfg = AsyncFloodingConfig {

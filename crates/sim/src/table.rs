@@ -4,10 +4,10 @@ use serde::{Deserialize, Serialize};
 
 /// A simple result table with a title, column headers and string cells.
 ///
-/// The experiment binaries build their output exclusively through this type so
-/// that every table of `EXPERIMENTS.md` has the same shape: a title naming the
-/// paper artifact being reproduced, one row per parameter point, and columns
-/// holding predicted and measured quantities.
+/// The experiment reports build their output exclusively through this type so
+/// that every table has the same shape: a title naming the paper artifact
+/// being reproduced, one row per parameter point, and columns holding
+/// predicted and measured quantities.
 ///
 /// # Example
 ///

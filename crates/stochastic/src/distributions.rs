@@ -371,13 +371,6 @@ impl GilbertElliott {
         (1.0 - bad) * self.loss_good + bad * self.loss_bad
     }
 
-    /// Mean burst length `1 / p_bg` (steps spent in the bad state per
-    /// visit); infinite when `p_bg == 0`.
-    #[must_use]
-    pub fn mean_burst_length(&self) -> f64 {
-        1.0 / self.p_bg
-    }
-
     /// Every chain starts in the good state, so a link's loss history is a
     /// pure function of its draw sequence.
     #[must_use]

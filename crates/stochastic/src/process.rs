@@ -139,12 +139,6 @@ impl BirthDeathChain {
         self.mu
     }
 
-    /// The stationary expected population `n = λ / µ`.
-    #[must_use]
-    pub fn expected_population(&self) -> f64 {
-        self.lambda / self.mu
-    }
-
     /// Probability that the next event is a death, given `alive` nodes
     /// (Lemma 4.6).
     #[must_use]
@@ -179,27 +173,6 @@ impl BirthDeathChain {
             JumpKind::Birth
         };
         Jump { waiting_time, kind }
-    }
-
-    /// Simulates `steps` jumps starting from population `initial`, returning the
-    /// population trajectory (one entry per jump, after the jump is applied).
-    pub fn simulate_population<R: Rng + ?Sized>(
-        &self,
-        initial: u64,
-        steps: usize,
-        rng: &mut R,
-    ) -> Vec<u64> {
-        let mut population = initial;
-        let mut trajectory = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let jump = self.next_jump(population, rng);
-            match jump.kind {
-                JumpKind::Birth => population += 1,
-                JumpKind::Death => population = population.saturating_sub(1),
-            }
-            trajectory.push(population);
-        }
-        trajectory
     }
 }
 
@@ -298,9 +271,17 @@ mod tests {
         // [0.9n, 1.1n] with overwhelming probability.
         let n = 500.0;
         let chain = BirthDeathChain::new(1.0, 1.0 / n);
-        assert_eq!(chain.expected_population(), 500.0);
         let mut rng = seeded_rng(25);
-        let trajectory = chain.simulate_population(0, 40_000, &mut rng);
+        let mut population = 0u64;
+        let trajectory: Vec<u64> = (0..40_000)
+            .map(|_| {
+                match chain.next_jump(population, &mut rng).kind {
+                    JumpKind::Birth => population += 1,
+                    JumpKind::Death => population -= 1,
+                }
+                population
+            })
+            .collect();
         let late = &trajectory[20_000..];
         let mean: f64 = late.iter().map(|&x| x as f64).sum::<f64>() / late.len() as f64;
         assert!(

@@ -250,21 +250,6 @@ impl Histogram {
         self.total
     }
 
-    /// The `[low, high)` boundaries of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.bins()`.
-    #[must_use]
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        (
-            self.low + i as f64 * width,
-            self.low + (i + 1) as f64 * width,
-        )
-    }
-
     /// The fraction of samples falling in bin `i` (0 when empty).
     ///
     /// # Panics
@@ -492,7 +477,6 @@ mod tests {
         assert_eq!(h.bins(), 5);
         assert_eq!(h.counts()[0], 3, "0.5, 1.5 and clamped -4.0");
         assert_eq!(h.counts()[4], 2, "9.9 and clamped 25.0");
-        assert_eq!(h.bin_range(0), (0.0, 2.0));
         assert!((h.fraction(0) - 3.0 / 7.0).abs() < 1e-12);
         let pmf = h.pmf();
         assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);

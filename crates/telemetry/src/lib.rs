@@ -37,8 +37,8 @@ pub struct PhaseProfiler {
 
 #[derive(Default)]
 struct ProfilerState {
-    /// (name, total nanoseconds, close count) in first-appearance order.
-    spans: Vec<(&'static str, u64, u64)>,
+    /// (name, total nanoseconds) in first-appearance order.
+    spans: Vec<(&'static str, u64)>,
     /// (name, total) in first-appearance order.
     counters: Vec<(&'static str, u64)>,
 }
@@ -57,18 +57,7 @@ impl PhaseProfiler {
         state
             .spans
             .iter()
-            .map(|&(name, nanos, _)| (name, nanos as f64 / 1e9))
-            .collect()
-    }
-
-    /// Number of times each span closed, in first-appearance order.
-    #[must_use]
-    pub fn span_counts(&self) -> Vec<(&'static str, u64)> {
-        let state = self.inner.lock().unwrap();
-        state
-            .spans
-            .iter()
-            .map(|&(name, _, count)| (name, count))
+            .map(|&(name, nanos)| (name, nanos as f64 / 1e9))
             .collect()
     }
 
@@ -89,22 +78,20 @@ impl PhaseProfiler {
 
 impl Subscriber for PhaseProfiler {
     fn span_close(&self, name: &'static str, nanos: u64) {
-        let mut state = self.inner.lock().unwrap();
-        if let Some(entry) = state.spans.iter_mut().find(|e| e.0 == name) {
-            entry.1 = entry.1.saturating_add(nanos);
-            entry.2 += 1;
-        } else {
-            state.spans.push((name, nanos, 1));
-        }
+        add(&mut self.inner.lock().unwrap().spans, name, nanos);
     }
 
     fn counter(&self, name: &'static str, value: u64) {
-        let mut state = self.inner.lock().unwrap();
-        if let Some(entry) = state.counters.iter_mut().find(|e| e.0 == name) {
-            entry.1 = entry.1.saturating_add(value);
-        } else {
-            state.counters.push((name, value));
-        }
+        add(&mut self.inner.lock().unwrap().counters, name, value);
+    }
+}
+
+/// Adds `value` to `name`'s total, appending the name on first sight.
+fn add(totals: &mut Vec<(&'static str, u64)>, name: &'static str, value: u64) {
+    if let Some(entry) = totals.iter_mut().find(|e| e.0 == name) {
+        entry.1 = entry.1.saturating_add(value);
+    } else {
+        totals.push((name, value));
     }
 }
 
@@ -125,14 +112,6 @@ impl RoundSeries {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty series with named columns declared up front.
-    #[must_use]
-    pub fn with_columns(names: &[&'static str]) -> Self {
-        Self {
-            columns: names.iter().map(|&n| (n, Vec::new())).collect(),
-        }
     }
 
     /// Appends one round: `row` pairs each column name with its value for
@@ -211,7 +190,6 @@ mod tests {
             vec!["churn", "sweep"]
         );
         assert!(phases.iter().all(|&(_, s)| s >= 0.0));
-        assert_eq!(profiler.span_counts(), vec![("churn", 2), ("sweep", 1)]);
         assert_eq!(profiler.counters(), vec![("events", 15), ("drops", 1)]);
         assert!(!profiler.is_empty());
     }
@@ -227,7 +205,7 @@ mod tests {
 
     #[test]
     fn series_rows_keep_columns_aligned() {
-        let mut series = RoundSeries::with_columns(&["informed", "alive"]);
+        let mut series = RoundSeries::new();
         series.push_round(&[("informed", 0.1), ("alive", 100.0)]);
         series.push_round(&[("informed", 0.4), ("alive", 99.0), ("lost", 2.0)]);
         series.push_round(&[("informed", 1.0)]);

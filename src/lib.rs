@@ -26,8 +26,8 @@
 //! * [`telemetry`] (`churn-telemetry`) — zero-cost-when-detached spans,
 //!   counters, phase profiling and per-round time-series buffers.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the reproduction results.
+//! See `ROADMAP.md` for the architecture and its measured numbers, and
+//! `crates/sim/README.md` for how scenarios are declared, run and stored.
 //!
 //! ## Quick start
 //!
