@@ -14,21 +14,6 @@ pub struct ScalingFit {
     pub points: usize,
 }
 
-impl ScalingFit {
-    /// The coefficient of determination of the fit.
-    #[must_use]
-    pub fn r_squared(&self) -> f64 {
-        self.fit.r_squared
-    }
-
-    /// The fitted slope (per `log₂ n` for logarithmic fits, per unit `n` for
-    /// linear fits).
-    #[must_use]
-    pub fn slope(&self) -> f64 {
-        self.fit.slope
-    }
-}
-
 /// Fits `y ≈ a + b·log₂(n)` to a `(n, y)` series. Returns `None` with fewer
 /// than two points or non-positive `n`.
 #[must_use]
@@ -142,8 +127,8 @@ mod tests {
         let points = series(|n| 3.0 + 1.7 * n.log2());
         assert_eq!(classify_scaling(&points), ScalingClass::Logarithmic);
         let fit = fit_logarithmic(&points).unwrap();
-        assert!((fit.slope() - 1.7).abs() < 1e-9);
-        assert!(fit.r_squared() > 0.999);
+        assert!((fit.fit.slope - 1.7).abs() < 1e-9);
+        assert!(fit.fit.r_squared > 0.999);
         assert_eq!(fit.points, 7);
     }
 
@@ -152,7 +137,7 @@ mod tests {
         let points = series(|n| 10.0 + 0.25 * n);
         assert_eq!(classify_scaling(&points), ScalingClass::Linear);
         let fit = fit_linear_in_n(&points).unwrap();
-        assert!((fit.slope() - 0.25).abs() < 1e-9);
+        assert!((fit.fit.slope - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -167,7 +152,7 @@ mod tests {
             .collect();
         assert_ne!(classify_scaling(&points), ScalingClass::Linear);
         let fit = fit_logarithmic(&points).unwrap();
-        assert!((fit.slope() - 2.0).abs() < 0.5);
+        assert!((fit.fit.slope - 2.0).abs() < 0.5);
         // With mild ±3% noise the verdict is unambiguous.
         let mild: Vec<(f64, f64)> = series(|n| 2.0 * n.log2())
             .into_iter()

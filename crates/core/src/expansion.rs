@@ -90,12 +90,6 @@ impl ExpansionReport {
     pub fn value(&self) -> Option<f64> {
         self.estimate.value()
     }
-
-    /// Whether the estimate clears the paper's 0.1 expansion threshold.
-    #[must_use]
-    pub fn meets_paper_threshold(&self) -> bool {
-        self.estimate.at_least(crate::theory::EXPANSION_THRESHOLD)
-    }
 }
 
 /// Measures the vertex expansion of the model's current snapshot over the given
@@ -206,16 +200,5 @@ mod tests {
             "large subsets of a d = 24 SDG snapshot should expand, got {value}"
         );
         assert!(report.size_bounds.0 > 1);
-    }
-
-    #[test]
-    fn report_threshold_helper_matches_value() {
-        let model = warm_model(200, 8, EdgePolicy::Regenerate, 5);
-        let mut rng = seeded_rng(10);
-        let report = measure_expansion(&model, SizeRange::Full, &ExpansionConfig::fast(), &mut rng);
-        assert_eq!(
-            report.meets_paper_threshold(),
-            report.value().unwrap() >= 0.1
-        );
     }
 }

@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod alive;
 mod any;
 mod config;
 mod error;
@@ -79,7 +78,6 @@ pub mod isolated;
 pub mod onion_skin;
 pub mod theory;
 
-pub use alive::AliveSet;
 pub use any::{AnyModel, ModelKind};
 pub use config::{EdgePolicy, PoissonConfig, StreamingConfig, MIN_NETWORK_SIZE};
 pub use error::ModelError;

@@ -63,18 +63,6 @@ pub enum LossModel {
     Bursty(GilbertElliott),
 }
 
-impl LossModel {
-    /// The long-run marginal loss rate of the model.
-    #[must_use]
-    pub fn marginal(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Iid { p } => p,
-            LossModel::Bursty(chan) => chan.stationary_loss(),
-        }
-    }
-}
-
 /// One scheduled partition window: at `start` the alive population splits
 /// into `blocks` groups (deterministic id hash); at `heal` the blocks merge
 /// back. Enforced at delivery time, so messages already in flight when the

@@ -136,13 +136,6 @@ impl ExpansionEstimate {
     pub fn value(&self) -> Option<f64> {
         self.worst.as_ref().map(|w| w.ratio)
     }
-
-    /// Convenience: `true` when the estimate is at least `threshold` (i.e. no
-    /// candidate with a worse ratio was found).
-    #[must_use]
-    pub fn at_least(&self, threshold: f64) -> bool {
-        self.value().is_some_and(|v| v >= threshold)
-    }
 }
 
 /// Exact isoperimetric result for small graphs.

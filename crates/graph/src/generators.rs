@@ -7,8 +7,7 @@
 //!   Θ(1)-expander w.h.p. for `d >= 3`") — the natural comparison point for the
 //!   dynamic models, since SDG/PDG degrade it by churn while SDGR/PDGR maintain
 //!   it;
-//! * [`erdos_renyi`] gives the classical `G(n, p)` model;
-//! * [`ring`], [`path`], [`complete`] and [`star`] are deterministic fixtures
+//! * [`ring`], [`path`] and [`complete`] are deterministic fixtures
 //!   used throughout the test suites.
 
 use rand::Rng;
@@ -46,34 +45,6 @@ pub fn d_out_random_graph<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> D
             };
             g.set_out_slot(u, slot, target)
                 .expect("slot and target are valid");
-        }
-    }
-    g
-}
-
-/// Erdős–Rényi `G(n, p)`: every unordered pair becomes an edge independently
-/// with probability `p`. Edges are attached as out-slots of the lower-indexed
-/// endpoint.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-#[must_use]
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> DynamicGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut g = DynamicGraph::with_capacity(n);
-    for i in 0..n {
-        g.add_node(NodeId::new(i as u64), 0)
-            .expect("fresh ids are unique");
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_bool(p) {
-                let u = NodeId::new(i as u64);
-                let slot = g.push_out_slot(u).expect("node exists");
-                g.set_out_slot(u, slot, NodeId::new(j as u64))
-                    .expect("valid edge");
-            }
         }
     }
     g
@@ -131,26 +102,6 @@ pub fn complete(n: usize) -> DynamicGraph {
     g
 }
 
-/// Star graph: node 0 is connected to every other node.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-#[must_use]
-pub fn star(n: usize) -> DynamicGraph {
-    assert!(n >= 2, "a star needs at least two nodes");
-    let mut g = DynamicGraph::with_capacity(n);
-    g.add_node(NodeId::new(0), n - 1).expect("unique ids");
-    for i in 1..n {
-        g.add_node(NodeId::new(i as u64), 0).expect("unique ids");
-    }
-    for i in 1..n {
-        g.set_out_slot(NodeId::new(0), i - 1, NodeId::new(i as u64))
-            .expect("valid edge");
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,34 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn erdos_renyi_edge_count_matches_expectation() {
-        let n = 200;
-        let p = 0.05;
-        let g = erdos_renyi(n, p, &mut rng());
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let actual = g.distinct_edge_count() as f64;
-        assert!(
-            (actual - expected).abs() < 4.0 * expected.sqrt() + 10.0,
-            "edge count {actual} too far from expectation {expected}"
-        );
-        g.assert_invariants();
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let empty = erdos_renyi(20, 0.0, &mut rng());
-        assert_eq!(empty.distinct_edge_count(), 0);
-        let full = erdos_renyi(20, 1.0, &mut rng());
-        assert_eq!(full.distinct_edge_count(), 20 * 19 / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn erdos_renyi_rejects_invalid_probability() {
-        let _ = erdos_renyi(10, 1.5, &mut rng());
-    }
-
-    #[test]
     fn ring_and_path_shapes() {
         let ring_g = ring(10);
         assert_eq!(ring_g.distinct_edge_count(), 10);
@@ -250,16 +173,6 @@ mod tests {
             assert_eq!(g.degree(id), Some(7));
         }
         g.assert_invariants();
-    }
-
-    #[test]
-    fn star_graph_degrees() {
-        let g = star(9);
-        assert_eq!(g.degree(NodeId::new(0)), Some(8));
-        for i in 1..9 {
-            assert_eq!(g.degree(NodeId::new(i)), Some(1));
-        }
-        assert_eq!(g.distinct_edge_count(), 8);
     }
 
     #[test]

@@ -1228,21 +1228,6 @@ impl DynamicGraph {
         Ok(idx)
     }
 
-    /// Appends an additional (unconnected) out-slot to `id` and returns its index.
-    ///
-    /// Used by callers whose out-degree is not fixed up front (e.g. Erdős–Rényi
-    /// generation or overlay protocols that grow their target out-degree).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` is not alive.
-    pub fn push_out_slot(&mut self, id: NodeId) -> Result<usize> {
-        let idx = self.resolve(id)?;
-        let rec = self.record_mut(idx);
-        rec.out_slots.push(NO_TARGET);
-        Ok(rec.out_slots.len() - 1)
-    }
-
     fn resolve(&self, id: NodeId) -> Result<u32> {
         self.index
             .get(&id)
@@ -1921,19 +1906,6 @@ mod tests {
         g.clear_out_slot(id(0), 1).unwrap();
         assert!(g.is_isolated(id(1)).unwrap());
         g.assert_invariants();
-    }
-
-    #[test]
-    fn push_out_slot_grows_out_degree() {
-        let mut g = DynamicGraph::new();
-        g.add_node(id(0), 0).unwrap();
-        g.add_node(id(1), 0).unwrap();
-        let s = g.push_out_slot(id(0)).unwrap();
-        assert_eq!(s, 0);
-        g.set_out_slot(id(0), s, id(1)).unwrap();
-        assert_eq!(g.out_slot_count(id(0)), Some(1));
-        assert_eq!(g.degree(id(1)), Some(1));
-        assert_eq!(g.push_out_slot(id(9)), Err(GraphError::UnknownNode(id(9))));
     }
 
     #[test]

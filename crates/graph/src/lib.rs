@@ -19,8 +19,8 @@
 //!   flooding time,
 //! * [`expansion`] — outer boundaries, vertex expansion (exact for small graphs,
 //!   candidate-set estimation for large ones), isolated node census,
-//! * [`generators`] — static baselines such as the `d`-out random graph of the
-//!   paper's Lemma B.1 and Erdős–Rényi graphs,
+//! * [`generators`] — the static `d`-out random graph of the paper's Lemma B.1
+//!   and deterministic test fixtures,
 //! * [`metrics`] — degree histograms and the average degree.
 //!
 //! Nothing in this crate knows about churn distributions or time; that lives in

@@ -70,13 +70,13 @@ impl From<NodeId> for u64 {
 /// # Example
 ///
 /// ```
-/// use churn_graph::NodeIdAllocator;
+/// use churn_graph::{NodeId, NodeIdAllocator};
 ///
 /// let mut alloc = NodeIdAllocator::new();
 /// let a = alloc.next_id();
 /// let b = alloc.next_id();
 /// assert_ne!(a, b);
-/// assert_eq!(alloc.allocated(), 2);
+/// assert_eq!(alloc.peek(), NodeId::new(2));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeIdAllocator {
@@ -90,24 +90,11 @@ impl NodeIdAllocator {
         Self::default()
     }
 
-    /// Creates an allocator whose first identifier is `NodeId::new(start)`.
-    #[must_use]
-    pub fn starting_at(start: u64) -> Self {
-        NodeIdAllocator { next: start }
-    }
-
     /// Returns a fresh, never-before-returned identifier.
     pub fn next_id(&mut self) -> NodeId {
         let id = NodeId::new(self.next);
         self.next += 1;
         id
-    }
-
-    /// Number of identifiers handed out so far (when starting at zero, this is
-    /// also the next raw value).
-    #[must_use]
-    pub fn allocated(&self) -> u64 {
-        self.next
     }
 
     /// Peeks at the identifier the next call to [`Self::next_id`] will return.
@@ -153,15 +140,7 @@ mod tests {
         for w in ids.windows(2) {
             assert!(w[0] < w[1], "ids must be monotonically increasing");
         }
-        assert_eq!(alloc.allocated(), 100);
-    }
-
-    #[test]
-    fn allocator_starting_at_offsets_ids() {
-        let mut alloc = NodeIdAllocator::starting_at(1000);
-        assert_eq!(alloc.peek(), NodeId::new(1000));
-        assert_eq!(alloc.next_id(), NodeId::new(1000));
-        assert_eq!(alloc.next_id(), NodeId::new(1001));
+        assert_eq!(alloc.peek(), NodeId::new(100));
     }
 
     #[test]

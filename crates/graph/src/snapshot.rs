@@ -106,106 +106,6 @@ impl Snapshot {
         }
     }
 
-    /// Builds a snapshot like [`Snapshot::of`], sharding the adjacency pass
-    /// across up to `threads` rayon workers (`0` = one shard per pool
-    /// thread). The identifier ordering pass stays sequential; each worker
-    /// translates, sorts and deduplicates the rows of one contiguous chunk of
-    /// snapshot positions into a private buffer, and the buffers concatenate
-    /// in chunk order — so the result is **identical to [`Snapshot::of`] at
-    /// any thread count**. This is the rebuild path incremental observers
-    /// fall back to when a churn window touched too much of the graph for
-    /// patching to win.
-    #[must_use]
-    pub fn of_with_threads(graph: &DynamicGraph, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        };
-        let n = graph.len();
-        if threads <= 1 || n < 1 << 14 {
-            return Self::of(graph);
-        }
-        Self::of_sharded(graph, threads)
-    }
-
-    /// The sharded body of [`Snapshot::of_with_threads`], without the
-    /// small-size fallback (separated so tests can exercise the parallel
-    /// path at any size).
-    fn of_sharded(graph: &DynamicGraph, threads: usize) -> Self {
-        let n = graph.len();
-        let mut nodes: Vec<(NodeId, u32)> = Vec::with_capacity(n);
-        if graph.id_sorted_layout() {
-            nodes.extend(
-                (0..graph.slab_len() as u32).filter_map(|idx| graph.id_at(idx).map(|id| (id, idx))),
-            );
-        } else {
-            nodes.extend(
-                graph
-                    .member_indices()
-                    .iter()
-                    .map(|&idx| (graph.id_at(idx).expect("member cells are occupied"), idx)),
-            );
-            nodes.sort_unstable_by_key(|&(id, _)| id);
-        }
-        let mut slab_to_snap: Vec<u32> = vec![u32::MAX; graph.slab_len()];
-        for (pos, &(_, idx)) in nodes.iter().enumerate() {
-            slab_to_snap[idx as usize] = pos as u32;
-        }
-        let slab_to_snap = &slab_to_snap;
-
-        // Chunked fork-join: worker i owns snapshot positions
-        // [i*chunk, (i+1)*chunk) and writes (adjacency, per-row degrees) into
-        // its private slot.
-        let chunk = n.div_ceil(threads).max(1);
-        let mut shards: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-        shards.resize_with(nodes.len().div_ceil(chunk), Default::default);
-        rayon::scope(|s| {
-            for (slice, shard) in nodes.chunks(chunk).zip(shards.iter_mut()) {
-                s.spawn(move |_| {
-                    let (adjacency, degrees) = shard;
-                    let mut dense_scratch: Vec<u32> = Vec::new();
-                    for &(_, idx) in slice {
-                        dense_scratch.clear();
-                        graph.neighbors_dense_into(idx, &mut dense_scratch);
-                        let start = adjacency.len();
-                        adjacency.extend(
-                            dense_scratch
-                                .iter()
-                                .map(|&nb| slab_to_snap[nb as usize] as usize),
-                        );
-                        adjacency[start..].sort_unstable();
-                        let mut write = start;
-                        for read in start..adjacency.len() {
-                            if write == start || adjacency[read] != adjacency[write - 1] {
-                                adjacency[write] = adjacency[read];
-                                write += 1;
-                            }
-                        }
-                        adjacency.truncate(write);
-                        degrees.push(write - start);
-                    }
-                });
-            }
-        });
-
-        let ids: Vec<NodeId> = nodes.iter().map(|&(id, _)| id).collect();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adjacency = Vec::with_capacity(shards.iter().map(|(a, _)| a.len()).sum());
-        offsets.push(0);
-        for (shard_adj, degrees) in &shards {
-            for &deg in degrees {
-                offsets.push(offsets.last().unwrap() + deg);
-            }
-            adjacency.extend_from_slice(shard_adj);
-        }
-        Snapshot {
-            ids,
-            offsets,
-            adjacency,
-        }
-    }
-
     /// Assembles a snapshot from pre-built CSR parts: `ids` strictly
     /// increasing, `offsets` of length `ids.len() + 1` starting at 0 and
     /// non-decreasing, every row of `adjacency` sorted and deduplicated. This
@@ -515,38 +415,6 @@ mod tests {
         let snap = Snapshot::of(&g);
         assert_eq!(snap.ids(), &[id(1), id(2), id(4), id(5)]);
         assert_eq!(snap.edge_count(), 2); // 1-2 and 4-5 survive
-    }
-
-    #[test]
-    fn sharded_build_matches_sequential_at_any_thread_count() {
-        // A churned graph off the id-sorted fast path, with recycled cells,
-        // multi-edges and isolated nodes.
-        let mut g = DynamicGraph::new();
-        for raw in 0..200u64 {
-            g.add_node(id(raw), 3).unwrap();
-        }
-        for raw in 0..150u64 {
-            g.set_out_slot(id(raw), 0, id((raw * 7 + 1) % 200)).unwrap();
-            g.set_out_slot(id(raw), 1, id((raw * 13 + 2) % 200))
-                .unwrap();
-        }
-        for raw in (0..200u64).step_by(9) {
-            g.remove_node(id(raw)).unwrap();
-        }
-        for raw in 200..215u64 {
-            g.add_node(id(raw), 1).unwrap();
-        }
-        assert!(!g.id_sorted_layout());
-        let reference = Snapshot::of(&g);
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(
-                Snapshot::of_sharded(&g, threads),
-                reference,
-                "{threads} threads"
-            );
-        }
-        // The public entry point falls back below the size cutoff.
-        assert_eq!(Snapshot::of_with_threads(&g, 4), reference);
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl AddressManager {
         self.capacity
     }
 
-    /// Returns `true` when `addr` is known.
-    #[must_use]
-    pub fn knows(&self, addr: NodeId) -> bool {
-        self.position.contains_key(&addr)
-    }
-
     /// Inserts an address. When the table is full a uniformly random existing
     /// entry is evicted to make room (Bitcoin Core's addrman similarly
     /// overwrites buckets). Returns `true` if the address was new. O(1).
@@ -166,7 +160,7 @@ mod tests {
         assert!(a.is_empty());
         assert!(a.insert(id(1), &mut rng));
         assert!(!a.insert(id(1), &mut rng), "duplicate insert reports false");
-        assert!(a.knows(id(1)));
+        assert!(a.addresses().contains(&id(1)));
         assert_eq!(a.len(), 1);
         assert!(a.remove(id(1)));
         assert!(!a.remove(id(1)));
@@ -199,7 +193,7 @@ mod tests {
         }
         for _ in 0..100 {
             let s = a.sample(&mut rng).unwrap();
-            assert!(a.knows(s));
+            assert!(a.addresses().contains(&s));
         }
         let many = a.sample_many(7, &mut rng);
         assert_eq!(many.len(), 7);
@@ -244,17 +238,15 @@ mod tests {
             let mut seen = HashSet::new();
             for (pos, &addr) in a.addresses().iter().enumerate() {
                 assert!(seen.insert(addr), "duplicate address in dense table");
-                assert!(a.knows(addr));
-                // Round-trip through remove/insert keeps positions coherent:
-                // removing by address must remove exactly that address.
-                let _ = pos;
+                assert_eq!(a.position.get(&addr), Some(&(pos as u32)));
             }
+            assert_eq!(a.position.len(), a.len());
         }
         // Spot-check O(1) removal correctness on the final state.
         let addrs: Vec<NodeId> = a.addresses().to_vec();
         for addr in addrs {
             assert!(a.remove(addr));
-            assert!(!a.knows(addr));
+            assert!(!a.position.contains_key(&addr));
         }
         assert!(a.is_empty());
     }

@@ -7,26 +7,18 @@
 //! [`churn_core::flooding::run_flooding`] over the overlay and re-packages the
 //! result in block-propagation terms.
 //!
-//! The relay is generic over [`DynamicNetwork`]
-//! ([`propagate_block_from_over`]), so blocks can be relayed over any
-//! topology-maintenance substrate — the Bitcoin-Core-like
-//! [`P2pNetwork`], or a [`RaesModel`]-maintained bounded-in-degree expander
-//! built with [`raes_overlay`]. Under the hood everything runs on the dense
-//! slab indices (the flooding bitset and, since the `AddressManager` /
-//! relay-partner ports, the overlay's own maintenance loops), so no relay hot
-//! path resolves identifiers through a hash table. At overlay sizes past
-//! ~10^5 peers, [`propagate_block_parallel`] shards the per-delay frontier
-//! expansion across the rayon pool.
+//! Under the hood everything runs on the dense slab indices (the flooding
+//! bitset and the overlay's own maintenance loops), so no relay hot path
+//! resolves identifiers through a hash table.
 
 use serde::{Deserialize, Serialize};
 
 use churn_core::flooding::{
-    run_flooding, run_flooding_parallel, FloodingConfig, FloodingRecord, FloodingSource,
+    run_flooding, FloodingConfig, FloodingOutcome, FloodingRecord, FloodingSource,
 };
-use churn_core::{DynamicNetwork, NodeId, Result};
-use churn_protocol::{ChurnDriver, RaesConfig, RaesModel};
+use churn_core::{DynamicNetwork, NodeId};
 
-use crate::{P2pConfig, P2pNetwork};
+use crate::P2pNetwork;
 
 /// Summary of one block propagation over the overlay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,89 +39,26 @@ pub struct PropagationReport {
 }
 
 /// Propagates a block from a freshly joined peer (the paper's source
-/// convention) and reports coverage milestones.
-pub fn propagate_block(overlay: &mut P2pNetwork, max_delays: u64) -> PropagationReport {
-    propagate_block_from(overlay, FloodingSource::NextToJoin, max_delays)
-}
-
-/// Propagates a block from a chosen origin.
-pub fn propagate_block_from(
-    overlay: &mut P2pNetwork,
-    source: FloodingSource,
-    max_delays: u64,
-) -> PropagationReport {
-    propagate_block_from_over(overlay, source, max_delays)
-}
-
-/// [`propagate_block_from`] over any dynamic-network substrate.
-pub fn propagate_block_from_over<M: DynamicNetwork>(
+/// convention) and reports coverage milestones. Any topology-maintenance
+/// substrate can carry the block: the dialling [`P2pNetwork`] or, say, a
+/// RAES-maintained bounded-in-degree expander.
+pub fn propagate_block<M: DynamicNetwork + ?Sized>(
     overlay: &mut M,
-    source: FloodingSource,
     max_delays: u64,
 ) -> PropagationReport {
     let record = run_flooding(
         overlay,
-        source,
-        &FloodingConfig::with_max_rounds(max_delays),
-    );
-    summarize(record)
-}
-
-/// [`propagate_block`] over any substrate, with the sharded parallel frontier
-/// engine: same report delay-for-delay, but each relay hop fans across
-/// `threads` workers (`0` = one per pool thread). Worth it from roughly 10^5
-/// online peers.
-pub fn propagate_block_parallel<M: DynamicNetwork>(
-    overlay: &mut M,
-    max_delays: u64,
-    threads: usize,
-) -> PropagationReport {
-    let record = run_flooding_parallel(
-        overlay,
         FloodingSource::NextToJoin,
         &FloodingConfig::with_max_rounds(max_delays),
-        threads,
     );
-    summarize(record)
-}
-
-/// Builds a [`RaesModel`]-maintained overlay from Bitcoin-Core-style
-/// parameters: a bounded-in-degree expander under the same Poisson churn as
-/// [`P2pNetwork`], maintained by the RAES request/accept/reject protocol
-/// instead of addrman dialling. The mapping is direct — `expected_peers → n`,
-/// `target_outbound → d`, and the inbound cap becomes the RAES capacity
-/// factor `c = max_inbound / target_outbound` (the defaults give
-/// `c = 125/8`, i.e. an in-degree cap of exactly 125).
-///
-/// The result implements [`DynamicNetwork`], so [`propagate_block_from_over`] and
-/// the `health`/analysis machinery drive it like the dialling overlay.
-///
-/// # Errors
-///
-/// Propagates `RaesConfig` validation errors (degenerate sizes, zero degree,
-/// or `max_inbound < target_outbound`, which would mean a capacity factor
-/// below 1).
-pub fn raes_overlay(config: &P2pConfig) -> Result<RaesModel> {
-    let capacity_factor = config.max_inbound as f64 / config.target_outbound.max(1) as f64;
-    RaesModel::new(
-        RaesConfig::new(config.expected_peers, config.target_outbound)
-            .capacity_factor(capacity_factor)
-            .churn(ChurnDriver::Poisson)
-            .seed(config.seed),
-    )
-}
-
-fn summarize(record: FloodingRecord) -> PropagationReport {
-    let delays_to_half = record.rounds_to_fraction(0.5);
-    let delays_to_99 = record.rounds_to_fraction(0.99);
     let delays_to_full = match &record.outcome {
-        churn_core::flooding::FloodingOutcome::Completed { rounds } => Some(*rounds),
+        FloodingOutcome::Completed { rounds } => Some(*rounds),
         _ => None,
     };
     PropagationReport {
         origin: record.source,
-        delays_to_half,
-        delays_to_99,
+        delays_to_half: record.rounds_to_fraction(0.5),
+        delays_to_99: record.rounds_to_fraction(0.99),
         delays_to_full,
         final_coverage: record.final_fraction(),
         record,
@@ -195,28 +124,41 @@ mod tests {
 
     #[test]
     fn blocks_relay_over_a_raes_maintained_overlay() {
+        use churn_core::flooding::run_flooding_parallel;
+        use churn_protocol::{ChurnDriver, RaesConfig, RaesModel};
+
+        // Bitcoin-Core parameters mapped onto RAES: expected peers -> n,
+        // outbound target -> d, inbound cap -> capacity factor 125/8.
         let config = P2pConfig::new(200).seed(4);
-        let mut overlay = raes_overlay(&config).unwrap();
+        let raes = || {
+            let c = config.max_inbound as f64 / config.target_outbound as f64;
+            let mut overlay = RaesModel::new(
+                RaesConfig::new(config.expected_peers, config.target_outbound)
+                    .capacity_factor(c)
+                    .churn(ChurnDriver::Poisson)
+                    .seed(config.seed),
+            )
+            .unwrap();
+            overlay.warm_up();
+            overlay
+        };
+        let mut overlay = raes();
         assert_eq!(overlay.in_degree_cap(), 125, "Bitcoin-Core inbound cap");
         assert_eq!(overlay.degree_parameter(), 8);
-        overlay.warm_up();
-        let report = propagate_block_from_over(&mut overlay, FloodingSource::NextToJoin, 100);
+        let report = propagate_block(&mut overlay, 100);
         assert!(
             report.final_coverage > 0.95,
             "block coverage only {:.2} over RAES",
             report.final_coverage
         );
-        // The parallel relay produces the identical report on the same seed.
-        let mut overlay2 = raes_overlay(&config).unwrap();
-        overlay2.warm_up();
-        let parallel = propagate_block_parallel(&mut overlay2, 100, 4);
-        assert_eq!(report, parallel);
-    }
-
-    #[test]
-    fn raes_overlay_rejects_sub_unit_capacity() {
-        let config = P2pConfig::new(200).target_outbound(8).max_inbound(4);
-        assert!(raes_overlay(&config).is_err(), "c = 0.5 must be rejected");
+        // The sharded relay produces the identical trace on the same seed.
+        let parallel = run_flooding_parallel(
+            &mut raes(),
+            FloodingSource::NextToJoin,
+            &FloodingConfig::with_max_rounds(100),
+            4,
+        );
+        assert_eq!(report.record, parallel);
     }
 
     #[test]

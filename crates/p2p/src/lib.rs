@@ -16,12 +16,8 @@
 //!   address-manager gossip, outbound-connection maintenance under the
 //!   in-degree cap. It implements [`churn_core::DynamicNetwork`], so all the
 //!   library's analyses (flooding, expansion, isolation) run on it unchanged.
-//! * [`gossip`] — block propagation over the overlay (or over any other
-//!   [`churn_core::DynamicNetwork`], e.g. a RAES-maintained bounded-in-degree
-//!   expander built with [`gossip::raes_overlay`]), reported in the same
-//!   terms as the paper's flooding process; sizes past ~10^5 peers can relay
-//!   through the sharded parallel frontier engine
-//!   ([`gossip::propagate_block_parallel`]).
+//! * [`gossip`] — block propagation over the overlay, reported in the same
+//!   terms as the paper's flooding process.
 //! * [`health`] — overlay health metrics (degrees, connectivity, address
 //!   staleness).
 //!

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use rand::Rng;
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost};
-use churn_core::{AliveSet, ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, NodeId, Result};
+use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, NodeId, Result};
 use churn_graph::{DynamicGraph, NodeIdAllocator};
 use churn_stochastic::process::{BirthDeathChain, Jump};
 use churn_stochastic::rng::{seeded_rng, SimRng};
@@ -32,7 +32,6 @@ pub struct P2pNetwork {
     chain: BirthDeathChain,
     time: f64,
     jumps: u64,
-    alive: AliveSet,
     birth_time: HashMap<NodeId, f64>,
     addrmans: HashMap<NodeId, AddressManager>,
     alloc: NodeIdAllocator,
@@ -75,7 +74,6 @@ impl P2pNetwork {
             chain,
             time: 0.0,
             jumps: 0,
-            alive: AliveSet::with_capacity(capacity),
             birth_time: HashMap::with_capacity(capacity),
             addrmans: HashMap::with_capacity(capacity),
             alloc: NodeIdAllocator::new(),
@@ -124,20 +122,21 @@ impl P2pNetwork {
     }
 
     fn spawn_peer(&mut self, time: f64) -> (NodeId, u32) {
+        // DNS-seed bootstrap: a random sample of the peers online before the
+        // joiner enters the graph.
+        let mut addrman = AddressManager::new(self.config.addrman_capacity);
+        for _ in 0..self.config.dns_seed_addresses {
+            if let Some(seed_idx) = self.graph.sample_member(&mut self.rng) {
+                let seed_addr = self.graph.id_at(seed_idx).expect("members are occupied");
+                addrman.insert(seed_addr, &mut self.rng);
+            }
+        }
         let id = self.alloc.next_id();
         let idx = self
             .graph
             .add_node_indexed(id, self.config.target_outbound)
             .expect("allocator never reuses identifiers");
-        let mut addrman = AddressManager::new(self.config.addrman_capacity);
-        // DNS-seed bootstrap: a random sample of currently online peers.
-        for _ in 0..self.config.dns_seed_addresses {
-            if let Some(seed_addr) = self.alive.sample(&mut self.rng) {
-                addrman.insert(seed_addr, &mut self.rng);
-            }
-        }
         self.addrmans.insert(id, addrman);
-        self.alive.insert(id);
         self.birth_time.insert(id, time);
         self.newest = Some(id);
         // Open outbound connections right away, like a starting node would.
@@ -146,7 +145,6 @@ impl P2pNetwork {
     }
 
     fn kill_peer(&mut self, victim: NodeId, victim_idx: u32) {
-        self.alive.remove(victim);
         self.birth_time.remove(&victim);
         self.addrmans.remove(&victim);
         if self.newest == Some(victim) {
@@ -157,7 +155,7 @@ impl P2pNetwork {
         // dials a new address).
         self.graph
             .remove_node_at(victim_idx)
-            .expect("victim sampled from the alive set");
+            .expect("victim sampled from the graph's members");
     }
 
     /// Tries to fill every empty outbound slot of `peer` with a connection to an
@@ -283,16 +281,12 @@ impl P2pNetwork {
     /// One maintenance pass over all online peers: re-fill missing outbound
     /// connections and gossip addresses.
     fn maintenance(&mut self) {
-        let peers: Vec<NodeId> = self.alive.as_slice().to_vec();
-        for peer in &peers {
-            if self.graph.contains(*peer) {
-                self.fill_outbound(*peer);
-            }
+        let peers: Vec<NodeId> = self.graph.node_ids().collect();
+        for &peer in &peers {
+            self.fill_outbound(peer);
         }
         for peer in peers {
-            if self.graph.contains(peer) {
-                self.gossip_addresses(peer);
-            }
+            self.gossip_addresses(peer);
         }
     }
 
@@ -314,8 +308,8 @@ impl P2pNetwork {
 }
 
 /// Driver hooks (see [`churn_core::driver`]): the overlay contributes peer
-/// bootstrap/teardown; deaths are sampled from its own alive-set (identical
-/// distribution and draw order to the pre-extraction loop).
+/// bootstrap/teardown; deaths are drawn uniformly from the graph's member
+/// table.
 impl ChurnHost for P2pNetwork {
     fn spawn(&mut self, time: f64) -> (NodeId, u32) {
         self.spawn_peer(time)
@@ -328,18 +322,15 @@ impl ChurnHost for P2pNetwork {
 
 impl PoissonChurnHost for P2pNetwork {
     fn draw_jump(&mut self, chain: &BirthDeathChain) -> Jump {
-        chain.next_jump(self.alive.len() as u64, &mut self.rng)
+        chain.next_jump(self.graph.len() as u64, &mut self.rng)
     }
 
     fn sample_victim(&mut self) -> (NodeId, u32) {
-        let victim = self
-            .alive
-            .sample(&mut self.rng)
-            .expect("death events require an alive peer");
         let victim_idx = self
             .graph
-            .dense_index_of(victim)
-            .expect("alive peers are in the graph");
+            .sample_member(&mut self.rng)
+            .expect("death events require an alive peer");
+        let victim = self.graph.id_at(victim_idx).expect("members are occupied");
         (victim, victim_idx)
     }
 }

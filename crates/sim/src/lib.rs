@@ -4,7 +4,7 @@
 //! engine ([`scenario`]) that runs every `(network, n, d, victim, trial)`
 //! grid of the workspace — seeded cells parallelised across CPU cores,
 //! checkpointed JSON-lines records, resume — plus metric aggregation with
-//! confidence intervals and table rendering (plain text, Markdown, CSV).
+//! confidence intervals and table rendering (plain text, Markdown).
 //!
 //! Every registered experiment in `churn-bench` is produced through this
 //! crate, so the paper's tables and figures are all regenerated by the same,
@@ -53,4 +53,4 @@ pub mod scenario;
 
 pub use metrics::Aggregate;
 pub use observer::observe_rounds;
-pub use table::{format_float, format_int, Table};
+pub use table::Table;

@@ -1,4 +1,4 @@
-//! Result tables: plain-text, Markdown and CSV rendering.
+//! Result tables: plain-text and Markdown rendering.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,34 +91,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (no title, headers first). Cells containing
-    /// commas or quotes are quoted.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the table as aligned plain text, suitable for terminal output.
     #[must_use]
     pub fn to_plain_text(&self) -> String {
@@ -156,22 +128,6 @@ impl Table {
     }
 }
 
-/// Formats a float with the given number of decimals (helper for table cells).
-#[must_use]
-pub fn format_float(value: f64, decimals: usize) -> String {
-    format!("{value:.decimals$}")
-}
-
-/// Formats an integer-valued float without decimals, or `-` for NaN.
-#[must_use]
-pub fn format_int(value: f64) -> String {
-    if value.is_nan() {
-        "-".to_string()
-    } else {
-        format!("{}", value.round() as i64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,22 +146,6 @@ mod tests {
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 1 | x |"));
         assert!(md.contains("|---|---|"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "1,x");
-        assert_eq!(lines[2], "2,\"y,z\"");
-    }
-
-    #[test]
-    fn csv_escapes_quotes() {
-        let mut t = Table::new("q", ["c"]);
-        t.push_row(["say \"hi\""]);
-        assert!(t.to_csv().contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]
@@ -230,13 +170,5 @@ mod tests {
         assert_eq!(t.title(), "Sample");
         assert_eq!(t.columns(), &["a".to_string(), "b".to_string()]);
         assert_eq!(t.rows().len(), 2);
-    }
-
-    #[test]
-    fn float_and_int_formatting() {
-        assert_eq!(format_float(1.23456, 2), "1.23");
-        assert_eq!(format_float(2.0, 0), "2");
-        assert_eq!(format_int(41.7), "42");
-        assert_eq!(format_int(f64::NAN), "-");
     }
 }

@@ -3,7 +3,7 @@
 //! The paper needs three distributions (Definition 4.1 and the analysis around
 //! it): the exponential distribution (inter-arrival times and node lifetimes),
 //! the Poisson distribution (number of arrivals in a fixed window, Lemma 7.4)
-//! and the geometric/Bernoulli family (coin-toss arguments such as the node
+//! and the geometric distribution (coin-toss arguments such as the node
 //! removal step of the extended onion-skin process, Section 7.2.4). They are
 //! implemented here directly on top of `rand`'s uniform primitives so the crate
 //! has no further dependencies and the sampling algorithms are auditable.
@@ -74,12 +74,6 @@ impl Exponential {
         } else {
             1.0 - (-self.rate * x).exp()
         }
-    }
-
-    /// Survival function `P(X > x)`.
-    #[must_use]
-    pub fn survival(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
     }
 }
 
@@ -255,42 +249,6 @@ impl Geometric {
     }
 }
 
-/// Bernoulli distribution returning `true` with probability `p`.
-///
-/// Thin wrapper over [`Rng::gen_bool`] that validates its argument once at
-/// construction instead of at every draw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p`.
-    ///
-    /// Returns `None` unless `0 <= p <= 1`.
-    #[must_use]
-    pub fn new(p: f64) -> Option<Self> {
-        ((0.0..=1.0).contains(&p)).then_some(Bernoulli { p })
-    }
-
-    /// Success probability.
-    #[must_use]
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        if self.p <= 0.0 {
-            false
-        } else if self.p >= 1.0 {
-            true
-        } else {
-            rng.gen_bool(self.p)
-        }
-    }
-}
-
 /// Gilbert–Elliott two-state loss channel: a Markov chain alternating
 /// between a *good* state (loss probability `loss_good`, usually ≈ 0) and a
 /// *bad* burst state (loss probability `loss_bad`, usually near 1). Each
@@ -452,7 +410,6 @@ mod tests {
         assert!((dist.cdf(0.0)).abs() < 1e-12);
         assert!((dist.cdf(f64::INFINITY) - 1.0).abs() < 1e-12);
         assert!((dist.cdf(1.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert!((dist.survival(1.0) + dist.cdf(1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -475,7 +432,7 @@ mod tests {
             }
         }
         let conditional = beyond_st as f64 / beyond_s as f64;
-        assert!((conditional - dist.survival(t)).abs() < 0.02);
+        assert!((conditional - (1.0 - dist.cdf(t))).abs() < 0.02);
     }
 
     #[test]
@@ -542,17 +499,6 @@ mod tests {
         assert!(Geometric::new(0.0).is_none());
         assert!(Geometric::new(1.2).is_none());
         assert_eq!(Geometric::new(1.0).unwrap().sample(&mut rng), 1);
-    }
-
-    #[test]
-    fn bernoulli_extremes_and_frequency() {
-        let mut rng = seeded_rng(7);
-        assert!(!Bernoulli::new(0.0).unwrap().sample(&mut rng));
-        assert!(Bernoulli::new(1.0).unwrap().sample(&mut rng));
-        assert!(Bernoulli::new(1.5).is_none());
-        let coin = Bernoulli::new(0.3).unwrap();
-        let heads = (0..100_000).filter(|_| coin.sample(&mut rng)).count();
-        assert!((heads as f64 / 100_000.0 - 0.3).abs() < 0.01);
     }
 
     #[test]

@@ -6,20 +6,19 @@
 //! The Poisson models of the paper (Definitions 4.1, 4.9, 4.14) need a small
 //! continuous-time simulation toolkit: exponential and Poisson sampling, the
 //! birth–death *jump chain* of Definition 4.5 / Lemma 4.6, and an event queue.
-//! The experiments additionally need descriptive statistics (means, confidence
-//! intervals, histograms), the KL divergence of Theorem A.3, and simple
+//! The experiments additionally need descriptive statistics (means, standard
+//! errors, quantiles), the KL divergence of Theorem A.3, and simple
 //! regression to fit the `O(log n)` flooding-time scalings. All of that lives
 //! here, implemented on top of nothing but the `rand` crate.
 //!
 //! ## Modules
 //!
 //! * [`rng`] — deterministic seeding and independent sub-streams,
-//! * [`distributions`] — exponential, Poisson, geometric and Bernoulli samplers
+//! * [`distributions`] — exponential, Poisson, geometric and log-normal samplers
 //!   with exact moments exposed for testing,
-//! * [`process`] — the homogeneous Poisson process and the birth–death jump
-//!   chain used by the Poisson churn,
+//! * [`process`] — the birth–death jump chain used by the Poisson churn,
 //! * [`events`] — a generic future-event queue for discrete-event simulation,
-//! * [`stats`] — online statistics, histograms, confidence intervals, KL
+//! * [`stats`] — online statistics, standard errors, quantiles, KL
 //!   divergence and least-squares fits.
 //!
 //! ## Example: the jump chain of Definition 4.5
@@ -55,9 +54,9 @@ pub mod rng;
 pub mod stats;
 
 pub use distributions::{
-    Bernoulli, Exponential, Geometric, GilbertElliott, GilbertElliottState, LogNormal, Poisson,
+    Exponential, Geometric, GilbertElliott, GilbertElliottState, LogNormal, Poisson,
 };
 pub use events::EventQueue;
-pub use process::{BirthDeathChain, Jump, JumpKind, PoissonProcess};
+pub use process::{BirthDeathChain, Jump, JumpKind};
 pub use rng::{seeded_rng, SimRng};
-pub use stats::{Histogram, LinearFit, OnlineStats};
+pub use stats::{LinearFit, OnlineStats};

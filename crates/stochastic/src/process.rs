@@ -1,69 +1,10 @@
-//! Point processes: the homogeneous Poisson process and the birth–death jump
-//! chain behind the paper's Poisson churn (Definitions 4.1 and 4.5, Lemma 4.6).
+//! The birth–death jump chain behind the paper's Poisson churn (Definitions
+//! 4.1 and 4.5, Lemma 4.6).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::distributions::{Exponential, Poisson};
-
-/// A homogeneous Poisson process with rate `lambda` events per unit time.
-///
-/// Provides both views the paper uses: the exponential waiting time until the
-/// next event, and the Poisson-distributed number of events in a window
-/// (Lemma 7.4 bounds arrivals in logarithmic windows this way).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoissonProcess {
-    rate: f64,
-}
-
-impl PoissonProcess {
-    /// Creates a process with the given event rate.
-    ///
-    /// Returns `None` unless `rate` is finite and strictly positive.
-    #[must_use]
-    pub fn new(rate: f64) -> Option<Self> {
-        (rate.is_finite() && rate > 0.0).then_some(PoissonProcess { rate })
-    }
-
-    /// The event rate λ.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Samples the waiting time until the next event.
-    pub fn next_arrival<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        Exponential::new(self.rate)
-            .expect("rate validated at construction")
-            .sample(rng)
-    }
-
-    /// Samples the number of events falling in a window of length `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is negative or not finite.
-    pub fn events_in_window<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> u64 {
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "window duration must be finite and non-negative"
-        );
-        Poisson::new(self.rate * duration)
-            .expect("finite non-negative mean")
-            .sample(rng)
-    }
-
-    /// Samples the arrival times of all events in `[0, duration)`, sorted.
-    ///
-    /// Uses the standard conditioning property (Theorem C.3 of the paper's
-    /// appendix): given the count, arrival times are i.i.d. uniform.
-    pub fn arrivals_in_window<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> Vec<f64> {
-        let count = self.events_in_window(duration, rng);
-        let mut times: Vec<f64> = (0..count).map(|_| rng.gen::<f64>() * duration).collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        times
-    }
-}
+use crate::distributions::Exponential;
 
 /// The kind of transition taken by the birth–death jump chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -181,59 +122,6 @@ mod tests {
     use super::*;
     use crate::rng::seeded_rng;
     use crate::stats::OnlineStats;
-
-    #[test]
-    fn poisson_process_validates_rate() {
-        assert!(PoissonProcess::new(0.0).is_none());
-        assert!(PoissonProcess::new(-3.0).is_none());
-        assert!(PoissonProcess::new(2.0).is_some());
-    }
-
-    #[test]
-    fn poisson_process_interarrival_mean() {
-        let p = PoissonProcess::new(4.0).unwrap();
-        let mut rng = seeded_rng(20);
-        let mut stats = OnlineStats::new();
-        for _ in 0..50_000 {
-            stats.push(p.next_arrival(&mut rng));
-        }
-        assert!((stats.mean() - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn poisson_process_window_counts() {
-        let p = PoissonProcess::new(2.0).unwrap();
-        let mut rng = seeded_rng(21);
-        let mut stats = OnlineStats::new();
-        for _ in 0..20_000 {
-            stats.push(p.events_in_window(3.0, &mut rng) as f64);
-        }
-        assert!((stats.mean() - 6.0).abs() < 0.15);
-        assert_eq!(p.events_in_window(0.0, &mut rng), 0);
-    }
-
-    #[test]
-    fn poisson_process_arrivals_are_sorted_and_in_range() {
-        let p = PoissonProcess::new(5.0).unwrap();
-        let mut rng = seeded_rng(22);
-        for _ in 0..100 {
-            let arrivals = p.arrivals_in_window(2.0, &mut rng);
-            for w in arrivals.windows(2) {
-                assert!(w[0] <= w[1]);
-            }
-            for &t in &arrivals {
-                assert!((0.0..2.0).contains(&t));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn poisson_process_rejects_negative_window() {
-        let p = PoissonProcess::new(1.0).unwrap();
-        let mut rng = seeded_rng(23);
-        let _ = p.events_in_window(-1.0, &mut rng);
-    }
 
     #[test]
     fn chain_probabilities_match_lemma_4_6() {

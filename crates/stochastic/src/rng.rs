@@ -53,64 +53,6 @@ pub fn substream_rng(base: u64, stream: u64) -> SimRng {
     seeded_rng(derive_seed(base, stream))
 }
 
-/// A small factory handing out independent sub-streams of a base seed, keeping
-/// track of how many were created.
-///
-/// # Example
-///
-/// ```
-/// use churn_stochastic::rng::SeedSequence;
-/// use rand::Rng;
-///
-/// let mut seq = SeedSequence::new(99);
-/// let mut model_rng = seq.next_rng();
-/// let mut noise_rng = seq.next_rng();
-/// // The two streams are decorrelated:
-/// let _ = model_rng.gen::<u64>();
-/// let _ = noise_rng.gen::<u64>();
-/// assert_eq!(seq.issued(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    base: u64,
-    next_stream: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `base`.
-    #[must_use]
-    pub fn new(base: u64) -> Self {
-        SeedSequence {
-            base,
-            next_stream: 0,
-        }
-    }
-
-    /// The base seed this sequence was created with.
-    #[must_use]
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Number of sub-streams issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.next_stream
-    }
-
-    /// Returns the seed of the next sub-stream.
-    pub fn next_seed(&mut self) -> u64 {
-        let seed = derive_seed(self.base, self.next_stream);
-        self.next_stream += 1;
-        seed
-    }
-
-    /// Returns an RNG for the next sub-stream.
-    pub fn next_rng(&mut self) -> SimRng {
-        seeded_rng(self.next_seed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +94,5 @@ mod tests {
         let xs: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn seed_sequence_is_deterministic_and_counts_streams() {
-        let mut s1 = SeedSequence::new(11);
-        let mut s2 = SeedSequence::new(11);
-        assert_eq!(s1.next_seed(), s2.next_seed());
-        assert_eq!(s1.next_seed(), s2.next_seed());
-        assert_eq!(s1.issued(), 2);
-        assert_eq!(s1.base(), 11);
     }
 }

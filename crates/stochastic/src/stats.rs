@@ -1,4 +1,4 @@
-//! Descriptive statistics, confidence intervals, histograms, divergences and
+//! Descriptive statistics, standard errors, quantiles, divergences and
 //! least-squares fits used to analyse experiment output.
 
 use serde::{Deserialize, Serialize};
@@ -133,14 +133,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Normal-approximation confidence interval `(low, high)` around the mean at
-    /// the given z-score (1.96 ≈ 95%).
-    #[must_use]
-    pub fn confidence_interval(&self, z: f64) -> (f64, f64) {
-        let half = z * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
 }
 
 impl FromIterator<f64> for OnlineStats {
@@ -187,96 +179,6 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
 #[must_use]
 pub fn median(samples: &[f64]) -> Option<f64> {
     quantile(samples, 0.5)
-}
-
-/// Fixed-width histogram over a closed interval.
-///
-/// Samples below the range are clamped to the first bin and samples above to the
-/// last bin, so no observations are silently dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[low, high]` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `low >= high` or either bound is not finite.
-    #[must_use]
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            low.is_finite() && high.is_finite() && low < high,
-            "histogram range must be finite and non-empty"
-        );
-        Histogram {
-            low,
-            high,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let width = (self.high - self.low) / bins as f64;
-        let idx = ((x - self.low) / width).floor();
-        let idx = idx.clamp(0.0, (bins - 1) as f64) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Raw bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of samples.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The fraction of samples falling in bin `i` (0 when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.bins()`.
-    #[must_use]
-    pub fn fraction(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin index out of range");
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-
-    /// The normalised probability mass function over the bins (empty if no
-    /// samples were added).
-    #[must_use]
-    pub fn pmf(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return Vec::new();
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
 }
 
 /// Kullback–Leibler divergence `D(p ‖ q) = Σ p_i log2(p_i / q_i)` in bits.
@@ -444,14 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn confidence_interval_brackets_mean() {
-        let s: OnlineStats = (0..100).map(|i| i as f64).collect();
-        let (lo, hi) = s.confidence_interval(1.96);
-        assert!(lo < s.mean() && s.mean() < hi);
-        assert!(hi - lo > 0.0);
-    }
-
-    #[test]
     fn quantiles_and_median() {
         let data = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&data, 0.0), Some(1.0));
@@ -465,27 +359,6 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn quantile_rejects_out_of_range() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 3.5, 9.9, -4.0, 25.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bins(), 5);
-        assert_eq!(h.counts()[0], 3, "0.5, 1.5 and clamped -4.0");
-        assert_eq!(h.counts()[4], 2, "9.9 and clamped 25.0");
-        assert!((h.fraction(0) - 3.0 / 7.0).abs() < 1e-12);
-        let pmf = h.pmf();
-        assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]

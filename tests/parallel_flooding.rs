@@ -5,40 +5,50 @@
 //! budget, it produces exactly the informed set (and per-round statistics)
 //! of the sequential engine. This suite pins that contract over all five
 //! `ModelKind`s — the four paper baselines plus the RAES protocol model —
-//! at thread counts 1, 2, 4 and 8, with the sequential-fallback cutoff
-//! disabled so the sharded code path genuinely runs.
+//! and over RAES under Poisson churn and the p2p overlay, at thread counts
+//! 1, 2, 4 and 8, with the sequential-fallback cutoff disabled so the
+//! sharded code path genuinely runs.
 
 use dynamic_churn_networks::core::flooding::{
     run_flooding, run_flooding_parallel, FloodingConfig, FloodingProcess, FloodingSource,
     FrontierDirection, ParallelFrontier,
 };
 use dynamic_churn_networks::core::{DynamicNetwork, ModelKind};
-use dynamic_churn_networks::protocol::{RaesConfig, RaesModel};
+use dynamic_churn_networks::p2p::{P2pConfig, P2pNetwork};
+use dynamic_churn_networks::protocol::{ChurnDriver, RaesConfig, RaesModel};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// All five kinds: the paper's four baselines plus the protocol model.
-const ALL_FIVE: [ModelKind; 5] = [
-    ModelKind::Sdg,
-    ModelKind::Sdgr,
-    ModelKind::Pdg,
-    ModelKind::Pdgr,
-    ModelKind::Raes,
-];
+/// The paper's four baselines, the protocol model under both churn drivers
+/// and the p2p overlay.
+const ALL_NETWORKS: [&str; 7] = ["SDG", "SDGR", "PDG", "PDGR", "RAES", "RAES/poisson", "P2P"];
 
-fn build(kind: ModelKind, n: usize, d: usize, seed: u64) -> Box<dyn DynamicNetwork> {
-    match kind {
-        ModelKind::Raes => Box::new(
+fn build(label: &str, n: usize, d: usize, seed: u64) -> Box<dyn DynamicNetwork> {
+    match label {
+        "RAES" => Box::new(
             RaesModel::new(RaesConfig::new(n, d).seed(seed)).expect("valid RAES parameters"),
         ),
-        baseline => Box::new(baseline.build(n, d, seed).expect("valid parameters")),
+        "RAES/poisson" => Box::new(
+            RaesModel::new(RaesConfig::new(n, d).churn(ChurnDriver::Poisson).seed(seed))
+                .expect("valid RAES parameters"),
+        ),
+        "P2P" => Box::new(
+            P2pNetwork::new(P2pConfig::new(n).target_outbound(d).seed(seed))
+                .expect("valid overlay parameters"),
+        ),
+        kind => Box::new(
+            kind.parse::<ModelKind>()
+                .expect("a model kind")
+                .build(n, d, seed)
+                .expect("valid parameters"),
+        ),
     }
 }
 
 /// Lock-step comparison: two identically seeded models, one driven by the
 /// sequential engine, one by the sharded engine with the given thread budget.
 /// Every round must agree on the stats *and* on the informed identifier set.
-fn assert_engines_agree(kind: ModelKind, threads: usize, n: usize, d: usize, seed: u64) {
+fn assert_engines_agree(kind: &str, threads: usize, n: usize, d: usize, seed: u64) {
     let mut seq_model = build(kind, n, d, seed);
     let mut par_model = build(kind, n, d, seed);
     seq_model.warm_up();
@@ -77,7 +87,7 @@ fn assert_engines_agree(kind: ModelKind, threads: usize, n: usize, d: usize, see
 
 #[test]
 fn parallel_engine_matches_sequential_on_all_five_model_kinds() {
-    for kind in ALL_FIVE {
+    for kind in ALL_NETWORKS {
         for threads in THREAD_COUNTS {
             // Regenerating kinds complete; static kinds exercise die-out and
             // partial coverage. Both trajectories must agree either way.
@@ -88,7 +98,7 @@ fn parallel_engine_matches_sequential_on_all_five_model_kinds() {
 
 #[test]
 fn run_flooding_records_are_identical_across_engines_and_thread_counts() {
-    for kind in ALL_FIVE {
+    for kind in ALL_NETWORKS {
         let config = FloodingConfig::with_max_rounds(120);
         let mut model = build(kind, 200, 5, 7);
         model.warm_up();
