@@ -98,7 +98,7 @@ fn bench_adjacency_ablation(c: &mut Criterion) {
 
 fn flooding_rounds_via_graph(template: &churn_core::AnyModel) -> usize {
     let mut model = template.clone();
-    let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin);
+    let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin, 1);
     for _ in 0..32 {
         let stats = process.step(&mut model);
         if stats.complete {

@@ -1,7 +1,9 @@
 //! What does the event layer cost? Sync-round flooding vs. the event-driven
 //! asynchronous engine over the same warm SDGR network:
 //!
-//! * `sync` — the sequential [`run_flooding`] round loop (the PR 1 baseline);
+//! * `sync` — the one-thread [`run_flooding`] round loop (the PR 1 baseline;
+//!   above 16,384 nodes it takes the one-shard push/pull sweep, which the
+//!   `BENCH_PR7.json` and `BENCH_PR10.json` recordings predate);
 //! * `zero-latency` — [`run_async_flooding_faulty`] (empty fault plan) with `Fixed(0.0)` latency and
 //!   unlimited bandwidth: semantically BFS, so the slowdown vs. `sync` is the
 //!   pure per-message scheduler overhead (one heap event per delivery);
@@ -107,6 +109,7 @@ fn bench_sync_row(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
                 &mut model,
                 FloodingSource::NextToJoin,
                 &FloodingConfig::default(),
+                1,
             );
             criterion::black_box(record.rounds_elapsed())
         });

@@ -1,14 +1,17 @@
 //! Cost of a complete flooding run over warm SDGR / PDGR networks (the positive
-//! Table 1 cell), as a function of the network size — for both engines:
+//! Table 1 cell), as a function of the network size — for both sweeps of
+//! [`FloodingProcess`]:
 //!
-//! * `flooding_complete_run` — the sequential [`run_flooding`] baseline, now
-//!   with an `n = 10^6` row;
-//! * `flooding_parallel` — the sharded [`run_flooding_parallel`] engine with
-//!   an 8-shard budget (the thread budget also caps the worker count, so on a
-//!   narrower machine the remaining speedup is the push→pull direction
-//!   switch).
+//! * `flooding_complete_run` — the sequential sweep at every size
+//!   ([`FloodingProcess::with_sequential_cutoff`]`(usize::MAX)`, stepped to
+//!   [`run_flooding`]'s stop rule), the baseline `BENCH_PR1.json` and
+//!   `BENCH_PR3.json` recorded, with an `n = 10^6` row;
+//! * `flooding_parallel` — [`run_flooding`] with an 8-shard budget, which
+//!   takes the sharded sweep above the cutoff (the thread budget also caps
+//!   the worker count, so on a narrower machine the remaining speedup is the
+//!   push→pull direction switch).
 //!
-//! `BENCH_PR3.json` is produced by pairing the two engines at `n = 10^6`:
+//! `BENCH_PR3.json` is produced by pairing the two groups at `n = 10^6`:
 //!
 //! ```text
 //! cargo bench -p churn-bench --bench flooding -- --json flood.jsonl
@@ -29,7 +32,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use churn_core::flooding::{run_flooding, run_flooding_parallel, FloodingConfig, FloodingSource};
+use churn_core::flooding::{run_flooding, FloodingConfig, FloodingProcess, FloodingSource};
 use churn_core::{AnyModel, DynamicNetwork, ModelKind};
 
 /// Sizes where cloning the warm model per iteration would dominate the
@@ -96,6 +99,20 @@ fn bench_flooding_row(
     });
 }
 
+/// Steps the sequential sweep until [`run_flooding`]'s default stop rule
+/// fires (complete, died out, or the round cap) and returns the rounds run.
+fn sequential_flood(model: &mut AnyModel) -> u64 {
+    let max_rounds = FloodingConfig::default().max_rounds;
+    let mut process = FloodingProcess::start(model, FloodingSource::NextToJoin, 1)
+        .with_sequential_cutoff(usize::MAX);
+    loop {
+        let stats = process.step(model);
+        if stats.complete || stats.informed == 0 || stats.round >= max_rounds {
+            return stats.round;
+        }
+    }
+}
+
 fn bench_flooding(c: &mut Criterion) {
     let mut group = c.benchmark_group("flooding_complete_run");
     group
@@ -105,14 +122,7 @@ fn bench_flooding(c: &mut Criterion) {
     for kind in [ModelKind::Sdgr, ModelKind::Pdgr] {
         for n in [512usize, 2_048, 100_000, 1_000_000] {
             let id = BenchmarkId::new(kind.label(), sequential_size_label(n));
-            bench_flooding_row(&mut group, id, kind, n, |model| {
-                run_flooding(
-                    model,
-                    FloodingSource::NextToJoin,
-                    &FloodingConfig::default(),
-                )
-                .rounds_elapsed()
-            });
+            bench_flooding_row(&mut group, id, kind, n, sequential_flood);
         }
     }
     group.finish();
@@ -129,7 +139,7 @@ fn bench_flooding_parallel(c: &mut Criterion) {
         for n in [100_000usize, 1_000_000] {
             let id = BenchmarkId::new(format!("{}-{threads}t", kind.label()), size_label(n));
             bench_flooding_row(&mut group, id, kind, n, |model| {
-                run_flooding_parallel(
+                run_flooding(
                     model,
                     FloodingSource::NextToJoin,
                     &FloodingConfig::default(),

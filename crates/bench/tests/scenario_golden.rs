@@ -25,7 +25,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use churn_bench::scenarios::registry;
-use churn_core::flooding::{run_flooding, run_flooding_parallel, FloodingConfig, FloodingSource};
+use churn_core::flooding::{run_flooding, FloodingConfig, FloodingSource};
 use churn_core::DynamicNetwork;
 use churn_observe::{LifetimeIsolation, LiveMetrics};
 use churn_protocol::{RaesConfig, RaesModel};
@@ -70,6 +70,7 @@ fn adversarial_churn_records_are_byte_identical_to_the_legacy_loop() {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::with_max_rounds(200),
+            1,
         );
         let expected_record = CellRecord {
             scenario: scenario.name().to_string(),
@@ -183,7 +184,7 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
                 model.warm_up();
                 let isolated = churn_core::isolated::isolated_now(&model).len() as f64
                     / model.alive_count().max(1) as f64;
-                let flood = run_flooding_parallel(
+                let flood = run_flooding(
                     &mut model,
                     FloodingSource::NextToJoin,
                     &FloodingConfig::with_max_rounds(max_rounds),
@@ -211,7 +212,7 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
                 model.warm_up();
                 let isolated = churn_core::isolated::isolated_now(&model).len() as f64
                     / model.alive_count().max(1) as f64;
-                let flood = run_flooding_parallel(
+                let flood = run_flooding(
                     &mut model,
                     FloodingSource::NextToJoin,
                     &FloodingConfig::with_max_rounds(max_rounds),
@@ -268,7 +269,7 @@ fn flooding_scaling_metrics_match_the_legacy_loop_bit_for_bit() {
             .build_with_victim(cell.n, cell.d, seed, cell.victim)
             .unwrap();
         model.warm_up();
-        let flood = run_flooding_parallel(
+        let flood = run_flooding(
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),

@@ -16,14 +16,15 @@
 //! pessimistic analysis device; the synchronous observation used here is the
 //! natural simulation of the process the paper's theorems describe.)
 //!
-//! Two engines drive the round: the sequential [`FloodingProcess`] and the
-//! sharded [`ParallelFrontier`], which fans the boundary sweep across the
-//! rayon pool and direction-switches between pushing from the informed set
-//! and pulling over the alive slab range (Ligra-style) once the informed
-//! fraction crosses the `≈ √(1/2d)` cost crossover. Both produce identical
-//! informed sets round for round ([`run_flooding`] /
-//! [`run_flooding_parallel`] return identical records); the parallel engine
-//! exists purely for wall-clock speed at `n ≥ 10^5`.
+//! One engine drives the round, [`FloodingProcess`]. Its boundary sweep is
+//! a plain sequential pass at or below [`PARALLEL_FLOODING_CUTOFF`] alive
+//! nodes; above it, the sweep is sharded across the thread budget and
+//! direction-switches between pushing from the informed set and pulling over
+//! the alive slab range (Ligra-style) once the informed fraction crosses the
+//! `≈ √(1/2d)` cost crossover. Every path produces the same informed set
+//! round for round, so [`run_flooding`] returns the same record at any thread
+//! budget. The informed set itself is an [`InformedSet`], which the
+//! asynchronous rumor of `churn-event` shares.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +38,7 @@ use crate::ChurnSummary;
 
 /// Behavior-tag bit marking a node as Byzantine (assigned by a protocol
 /// layer via [`DynamicGraph::set_tag_at`]; `0` = honest). The flooding
-/// engines use this to split informed/alive counts into honest-only
+/// sweeps use this to split informed/alive counts into honest-only
 /// variants — see [`RoundStats::informed_honest`].
 pub const TAG_BYZANTINE: u8 = 0x1;
 
@@ -356,7 +357,7 @@ impl AtomicBitset {
     /// fetch-AND. Safe to race with other shared *clears* (set-minus is
     /// order-independent); racing it with concurrent `set_shared` calls on
     /// the same word would make the outcome scheduling-dependent, so the
-    /// engines never mix the two phases. Used by the parallel `is_current`
+    /// sweeps never mix the two phases. Used by the sharded `is_current`
     /// revalidation sweep.
     ///
     /// # Panics
@@ -380,7 +381,7 @@ impl AtomicBitset {
 
     /// Copies the current words into `out` (replacing its contents): a frozen
     /// point-in-time snapshot that stays valid while shared writers keep
-    /// merging into `self`. The parallel flooding engine reads the *pre-round*
+    /// merging into `self`. The sharded pull sweep reads the *pre-round*
     /// informed set from such a snapshot so that intra-round discoveries can
     /// never chain (which would break the one-hop-per-round semantics).
     pub fn snapshot_into(&self, out: &mut Vec<u64>) {
@@ -398,58 +399,166 @@ fn frozen_test(frozen: &[u64], idx: u32) -> bool {
 }
 
 /// The informed set, stored densely: one bit per slab cell of the underlying
-/// [`churn_graph::DynamicGraph`], plus the list of informed
-/// `(DenseHandle, NodeId)` entries. The bitset makes the per-round "is this
-/// neighbour already informed?" check a single word probe, and the entry list
-/// bounds all per-round work by the informed population instead of the
-/// network size.
+/// [`DynamicGraph`], plus the list of informed `(DenseHandle, NodeId)`
+/// entries. The bitset makes "is this node already informed?" a single word
+/// probe, and the entry list bounds all per-round work by the informed
+/// population instead of the network size.
 ///
-/// Slab cells are recycled across churn, so after every churn interval the
-/// entries are revalidated against the live graph through the
-/// generation-tagged handle ([`churn_graph::DynamicGraph::is_current`] — one
-/// flat counter probe, no identifier compare); stale entries — dead nodes, or
-/// cells reused by newborns — drop out and their bits are cleared. A
-/// conventional `HashSet<NodeId>` view exists only at the API boundary
-/// ([`FloodingProcess::informed`]).
+/// Both the synchronous [`FloodingProcess`] and the asynchronous rumor of
+/// `churn-event` keep their informed set here, so how it survives churn is
+/// decided once. Slab cells are recycled, so after every churn interval the
+/// owner calls [`Self::revalidate`]: entries whose generation-tagged handle
+/// fails [`DynamicGraph::is_current`] (one flat counter probe, no identifier
+/// compare) — dead nodes, or cells reused by newborns — drop out and their
+/// bits are cleared. [`Self::contains`] takes a cell index, so it is exact
+/// only between a revalidation and the next churn.
 #[derive(Debug, Clone, Default)]
-struct InformedSet {
+pub struct InformedSet {
     bits: AtomicBitset,
     entries: Vec<(DenseHandle, NodeId)>,
 }
 
 impl InformedSet {
-    fn len(&self) -> usize {
+    /// Number of informed nodes.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn ensure_capacity(&mut self, slab_len: usize) {
-        self.bits.ensure_bits(slab_len);
+    /// Whether no node is informed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
+    /// The informed `(handle, id)` entries, in insertion order (removals
+    /// keep the relative order of the rest).
+    #[must_use]
+    pub fn entries(&self) -> &[(DenseHandle, NodeId)] {
+        &self.entries
+    }
+
+    /// Whether the node in slab cell `idx` is informed.
     #[inline]
-    fn test(&self, idx: u32) -> bool {
+    #[must_use]
+    pub fn contains(&self, idx: u32) -> bool {
         self.bits.test(idx)
     }
 
-    /// Sets the bit and records the entry; returns `false` when already set.
+    /// Marks the node at `handle` informed (a no-op when its cell already
+    /// is).
     #[inline]
-    fn insert(&mut self, handle: DenseHandle, id: NodeId) -> bool {
-        if !self.bits.set(handle.index) {
-            return false;
+    pub fn insert(&mut self, handle: DenseHandle, id: NodeId) {
+        if self.bits.set(handle.index) {
+            self.entries.push((handle, id));
         }
-        self.entries.push((handle, id));
-        true
     }
 
-    #[inline]
-    fn clear_bit(&mut self, idx: u32) {
-        self.bits.clear(idx);
+    /// Un-marks the node at `handle` (a no-op when it is not informed).
+    pub fn remove(&mut self, handle: DenseHandle) {
+        if !self.bits.test(handle.index) {
+            return;
+        }
+        if let Some(pos) = self.entries.iter().position(|&(h, _)| h == handle) {
+            self.entries.remove(pos);
+            self.bits.clear(handle.index);
+        }
     }
+
+    /// Drops the entries whose slab cell no longer holds their node and
+    /// clears their bits, keeping the survivors' order. Returns how many of
+    /// the first `prefix` entries survived.
+    pub fn revalidate(&mut self, graph: &DynamicGraph, prefix: usize) -> usize {
+        let mut surviving_prefix = 0usize;
+        let mut write = 0usize;
+        for read in 0..self.entries.len() {
+            let (handle, id) = self.entries[read];
+            if graph.is_current(handle) {
+                if read < prefix {
+                    surviving_prefix += 1;
+                }
+                self.entries[write] = (handle, id);
+                write += 1;
+            } else {
+                self.bits.clear(handle.index);
+            }
+        }
+        self.entries.truncate(write);
+        surviving_prefix
+    }
+}
+
+/// Expansion strategy a [`FloodingProcess`] round used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FrontierDirection {
+    /// At or below the size cutoff: plain sequential sweep.
+    Sequential,
+    /// Informed set still small: shard the informed entries and push along
+    /// their adjacency.
+    Push,
+    /// Informed fraction past the crossover: shard the alive slab range and
+    /// pull — each uninformed cell scans its neighbours for an informed one.
+    Pull,
+}
+
+/// Alive-population cutoff at or below which [`FloodingProcess`] sweeps
+/// sequentially: at small sizes a round is microseconds and fork-join
+/// overhead would dominate.
+pub const PARALLEL_FLOODING_CUTOFF: usize = 1 << 14;
+
+/// Direction heuristic of the sharded sweep.
+///
+/// Per round, push costs ~`informed · 2d` random adjacency probes, while pull
+/// costs ~`alive` sequential bit probes plus, per uninformed cell, an
+/// early-exiting neighbour scan of expected length `min(2d, alive/informed)`.
+/// Equating the two puts the crossover near `informed/alive ≈ √(1/2d)`, i.e.
+/// pull wins once `informed² · 2d ≥ alive²` — for `d = 8` that is an informed
+/// fraction of 25%. Late rounds (`informed ≈ alive`) then cost a near-pure
+/// linear scan instead of `alive · 2d` random probes, which is where the bulk
+/// of a complete broadcast's work lives.
+#[must_use]
+fn pull_is_cheaper(informed: usize, alive: usize, d: usize) -> bool {
+    let informed = informed as u128;
+    let alive = alive as u128;
+    informed * informed * 2 * d.max(1) as u128 >= alive * alive
 }
 
 /// A step-by-step flooding process, for callers that want to interleave their
 /// own measurements between rounds. [`run_flooding`] is the batteries-included
 /// driver built on top of it.
+///
+/// Each round expands the [`InformedSet`] over the current snapshot, advances
+/// the model one time unit and revalidates. The expansion takes one of two
+/// paths, which produce identical per-round informed sets — pinned by
+/// `tests/parallel_flooding.rs` at 1, 2, 4 and 8 threads over every model
+/// kind:
+///
+/// * **Sequential** (at most [`PARALLEL_FLOODING_CUTOFF`] alive nodes, see
+///   [`Self::with_sequential_cutoff`]): one pass over the informed entries'
+///   adjacency, appending newly covered cells in discovery order.
+/// * **Sharded** (above the cutoff): a fork-join over the thread budget.
+///   - *Push* (small informed set): the informed entry list is cut into
+///     `threads` contiguous chunks; each worker expands its chunk's
+///     adjacency, claims newly covered cells through the shared
+///     [`AtomicBitset`]'s per-word fetch-OR, and stages the indices it won in
+///     a thread-local buffer.
+///   - *Pull* (informed fraction past the push/pull crossover near
+///     `√(1/2d)`, where `informed² · 2d ≥ alive²`): each worker walks one
+///     contiguous slab range ([`DynamicGraph::par_alive_ranges`]) and informs
+///     every uninformed alive cell that has a neighbour in the *frozen*
+///     pre-round bitset snapshot — frozen, so intra-round discoveries cannot
+///     chain into multi-hop spread. Late rounds therefore cost
+///     `O(alive / threads)` per worker instead of `O(informed · d)` random
+///     probes.
+///   - *Merge*: the thread-local buffers are concatenated and sorted (which
+///     shard won a boundary cell is scheduling-dependent; the sort restores
+///     a schedule-independent ascending entry order), then appended to the
+///     entry list. Set-union is order-independent, so the informed set is
+///     bit-identical to the sequential sweep's at any thread count.
+///
+/// A one-thread budget keeps the sharded path above the cutoff: the
+/// direction switch is an algorithmic win, independent of parallelism, and
+/// the fork-join then runs inline with a single shard.
 #[derive(Debug, Clone)]
 pub struct FloodingProcess {
     source: NodeId,
@@ -461,17 +570,40 @@ pub struct FloodingProcess {
     /// Entry-list position where the most recent round's newly informed
     /// entries start (everything before it survived from the previous round).
     last_new_from: usize,
+    threads: usize,
+    sequential_cutoff: usize,
+    /// Frozen pre-round bitset words (reused across rounds).
+    frozen: Vec<u64>,
+    /// Per-shard staging buffers of newly informed dense indices (reused).
+    shard_bufs: Vec<Vec<u32>>,
+    /// Concatenation + sort scratch for the merge phase (reused).
+    merge_scratch: Vec<u32>,
+    /// Per-shard order-preserving compaction buffers of the sharded
+    /// `is_current` revalidation sweep (reused).
+    reval_bufs: Vec<Vec<(DenseHandle, NodeId)>>,
+    /// Per-shard surviving-prefix counts of the same sweep (reused).
+    reval_counts: Vec<usize>,
+    last_direction: FrontierDirection,
 }
 
 impl FloodingProcess {
-    /// Starts a flooding process from an alive source node.
-    ///
-    /// Returns `None` if `source` is not alive in `model`.
-    pub fn from_source<M: DynamicNetwork + ?Sized>(model: &M, source: NodeId) -> Option<Self> {
+    /// Starts a flooding process from an alive source node with a thread
+    /// budget (`0` = one shard per pool thread); `None` if `source` is not
+    /// alive in `model`.
+    fn from_source<M: DynamicNetwork + ?Sized>(
+        model: &M,
+        source: NodeId,
+        threads: usize,
+    ) -> Option<Self> {
         let source_handle = model.graph().handle_of(source)?;
         let mut informed = InformedSet::default();
-        informed.ensure_capacity(model.graph().slab_len());
+        informed.bits.ensure_bits(model.graph().slab_len());
         informed.insert(source_handle, source);
+        let threads = if threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            threads
+        };
         Some(FloodingProcess {
             source,
             start_time: model.time(),
@@ -480,12 +612,25 @@ impl FloodingProcess {
             complete: false,
             peak_informed: 1,
             last_new_from: 0,
+            threads: threads.max(1),
+            sequential_cutoff: PARALLEL_FLOODING_CUTOFF,
+            frozen: Vec::new(),
+            shard_bufs: Vec::new(),
+            merge_scratch: Vec::new(),
+            reval_bufs: Vec::new(),
+            reval_counts: Vec::new(),
+            last_direction: FrontierDirection::Sequential,
         })
     }
 
     /// Resolves a [`FloodingSource`] (possibly advancing the model to the next
-    /// join) and starts the process from it.
-    pub fn start<M: DynamicNetwork + ?Sized>(model: &mut M, source: FloodingSource) -> Self {
+    /// join) and starts the process from it with a thread budget (`0` = one
+    /// shard per pool thread).
+    pub fn start<M: DynamicNetwork + ?Sized>(
+        model: &mut M,
+        source: FloodingSource,
+        threads: usize,
+    ) -> Self {
         let source_id = match source {
             FloodingSource::Node(id) if model.contains(id) => Some(id),
             FloodingSource::Newest => model.newest_node(),
@@ -497,7 +642,29 @@ impl FloodingProcess {
                 break id;
             }
         });
-        Self::from_source(model, source_id).expect("source is alive by construction")
+        Self::from_source(model, source_id, threads).expect("source is alive by construction")
+    }
+
+    /// Overrides the sequential-sweep population cutoff (default
+    /// [`PARALLEL_FLOODING_CUTOFF`]): `0` forces the sharded path at any
+    /// size, `usize::MAX` the sequential sweep; the determinism tests use
+    /// both.
+    #[must_use]
+    pub fn with_sequential_cutoff(mut self, cutoff: usize) -> Self {
+        self.sequential_cutoff = cutoff;
+        self
+    }
+
+    /// The configured thread budget (also the shard count).
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Expansion strategy of the most recent round.
+    #[must_use]
+    pub fn last_direction(&self) -> FrontierDirection {
+        self.last_direction
     }
 
     /// The source node.
@@ -568,135 +735,6 @@ impl FloodingProcess {
         self.complete
     }
 
-    /// Drops informed entries whose slab cell no longer holds their node
-    /// (death, or cell reuse by a newborn): the generation-tagged handle
-    /// fails [`DynamicGraph::is_current`] in O(1), with no identifier
-    /// compare and no record access. Returns how many of the first `prefix`
-    /// entries survived.
-    fn revalidate<M: DynamicNetwork + ?Sized>(&mut self, model: &M, prefix: usize) -> usize {
-        let graph = model.graph();
-        let mut surviving_prefix = 0usize;
-        let mut write = 0usize;
-        for read in 0..self.informed.entries.len() {
-            let (handle, id) = self.informed.entries[read];
-            if graph.is_current(handle) {
-                if read < prefix {
-                    surviving_prefix += 1;
-                }
-                self.informed.entries[write] = (handle, id);
-                write += 1;
-            } else {
-                self.informed.clear_bit(handle.index);
-            }
-        }
-        self.informed.entries.truncate(write);
-        surviving_prefix
-    }
-
-    /// Boundary sweep in the current snapshot G_{t-1}: expands the bitset over
-    /// the dense adjacency of the first `prev_len` entries. Entries appended
-    /// during the sweep are the frontier of this round; they are not
-    /// re-expanded (their bits are set, so the loop over the pre-existing
-    /// prefix suffices). This is also the sequential fallback of
-    /// [`ParallelFrontier`].
-    fn expand_sequential(&mut self, graph: &DynamicGraph, prev_len: usize) {
-        let tagged = graph.tags_enabled();
-        for i in 0..prev_len {
-            let idx = self.informed.entries[i].0.index;
-            if tagged && graph.tag_at(idx) & TAG_NO_FORWARD != 0 {
-                continue; // informed but silent: never a source
-            }
-            for nb in graph.neighbor_indices_at(idx) {
-                if !self.informed.test(nb) {
-                    let nb_handle = graph
-                        .handle_at(nb)
-                        .expect("adjacency points at alive cells");
-                    let nb_id = graph.id_at(nb).expect("adjacency points at alive cells");
-                    self.informed.insert(nb_handle, nb_id);
-                }
-            }
-        }
-    }
-
-    /// Post-churn bookkeeping shared by the sequential and parallel engines:
-    /// revalidates against `I_t = (I_{t-1} ∪ ∂out(I_{t-1})) ∩ N_t`, updates
-    /// the counters and the completion flag, and builds the round stats.
-    fn finish_round<M: DynamicNetwork + ?Sized>(
-        &mut self,
-        model: &M,
-        summary: &ChurnSummary,
-        prev_len: usize,
-    ) -> RoundStats {
-        let surviving_prev = self.revalidate(model, prev_len);
-        self.finish_round_with(model, summary, surviving_prev)
-    }
-
-    /// [`Self::finish_round`] with the revalidation already done (the
-    /// parallel engine runs its sharded revalidation sweep first and hands
-    /// in the surviving-prefix count).
-    fn finish_round_with<M: DynamicNetwork + ?Sized>(
-        &mut self,
-        model: &M,
-        summary: &ChurnSummary,
-        surviving_prev: usize,
-    ) -> RoundStats {
-        let newly_informed = self.informed.entries.len() - surviving_prev;
-        self.last_new_from = surviving_prev;
-        self.rounds += 1;
-        self.peak_informed = self.peak_informed.max(self.informed.len());
-
-        // Completion: every alive node that is not a newcomer of this interval
-        // is informed, i.e. I_t ⊇ N_{t-1} ∩ N_t. Newborns are never informed
-        // (the boundary sweep preceded their birth), so a counting argument
-        // replaces the former full scan over the alive set.
-        let alive = model.alive_count();
-        let births_alive = summary
-            .births
-            .iter()
-            .filter(|&&id| model.contains(id))
-            .count();
-        self.complete = self.informed.len() + births_alive == alive;
-
-        // Honest-only accounting: on untagged graphs the honest figures
-        // coincide with the global ones at zero extra cost; with tags the
-        // split is one O(informed + births) pass over data already touched.
-        let graph = model.graph();
-        let (informed_honest, alive_honest, honest_complete) = if graph.tags_enabled() {
-            let informed_honest = self
-                .informed
-                .entries
-                .iter()
-                .filter(|&&(handle, _)| graph.tag_at(handle.index) == 0)
-                .count();
-            let alive_honest = alive - graph.tagged_member_count();
-            let honest_births = summary
-                .births
-                .iter()
-                .filter_map(|&id| graph.dense_index_of(id))
-                .filter(|&idx| graph.tag_at(idx) == 0)
-                .count();
-            (
-                informed_honest,
-                alive_honest,
-                informed_honest + honest_births == alive_honest,
-            )
-        } else {
-            (self.informed.len(), alive, self.complete)
-        };
-
-        RoundStats {
-            round: self.rounds,
-            time: model.time(),
-            informed: self.informed.len(),
-            alive,
-            newly_informed,
-            complete: self.complete,
-            informed_honest,
-            alive_honest,
-            honest_complete,
-        }
-    }
-
     /// Executes one flooding round: every neighbour (in the current snapshot) of
     /// an informed node becomes informed one time unit later, the model advances
     /// by that time unit, and informed nodes that died are dropped.
@@ -705,256 +743,64 @@ impl FloodingProcess {
         // only observes it through this method), so first drop entries whose
         // slab cell was vacated or recycled — otherwise the boundary sweep
         // below would expand a newborn's adjacency as if it were informed.
-        self.revalidate(model, 0);
+        self.revalidate(model.graph(), 0);
 
-        let prev_len = self.informed.entries.len();
+        let prev_len = self.informed.len();
         {
             let graph = model.graph();
-            self.informed.ensure_capacity(graph.slab_len());
-            self.expand_sequential(graph, prev_len);
+            self.informed.bits.ensure_bits(graph.slab_len());
+            let alive = graph.len();
+            if alive <= self.sequential_cutoff {
+                self.last_direction = FrontierDirection::Sequential;
+                self.expand_sequential(graph, prev_len);
+            } else {
+                let pull = pull_is_cheaper(prev_len, alive, model.degree_parameter());
+                self.last_direction = if pull {
+                    FrontierDirection::Pull
+                } else {
+                    FrontierDirection::Push
+                };
+                self.expand_sharded(graph, prev_len, pull);
+            }
         }
 
         // One message-delay unit of churn.
-        let summary: ChurnSummary = model.advance_time_unit();
-        self.finish_round(model, &summary, prev_len)
+        let summary = model.advance_time_unit();
+        let surviving_prev = self.revalidate(model.graph(), prev_len);
+        self.finish_round(model, &summary, surviving_prev)
     }
-}
 
-/// Expansion strategy the [`ParallelFrontier`] engine used in a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontierDirection {
-    /// Below the size cutoff: plain sequential sweep.
-    Sequential,
-    /// Informed set still small: shard the informed entries and push along
-    /// their adjacency.
-    Push,
-    /// Informed fraction past the crossover: shard the alive slab range and
-    /// pull — each uninformed cell scans its neighbours for an informed one.
-    Pull,
-}
-
-/// Alive-population cutoff below which [`ParallelFrontier`] stays sequential:
-/// at small sizes a round is microseconds and fork-join overhead would
-/// dominate.
-pub const PARALLEL_FLOODING_CUTOFF: usize = 1 << 14;
-
-/// Direction heuristic of the [`ParallelFrontier`] engine.
-///
-/// Per round, push costs ~`informed · 2d` random adjacency probes, while pull
-/// costs ~`alive` sequential bit probes plus, per uninformed cell, an
-/// early-exiting neighbour scan of expected length `min(2d, alive/informed)`.
-/// Equating the two puts the crossover near `informed/alive ≈ √(1/2d)`, i.e.
-/// pull wins once `informed² · 2d ≥ alive²` — for `d = 8` that is an informed
-/// fraction of 25%. Late rounds (`informed ≈ alive`) then cost a near-pure
-/// linear scan instead of `alive · 2d` random probes, which is where the bulk
-/// of a complete broadcast's work lives.
-#[must_use]
-fn pull_is_cheaper(informed: usize, alive: usize, d: usize) -> bool {
-    let informed = informed as u128;
-    let alive = alive as u128;
-    informed * informed * 2 * d.max(1) as u128 >= alive * alive
-}
-
-/// The sharded parallel flooding engine.
-///
-/// Wraps the same informed-set state as [`FloodingProcess`] (the two produce
-/// identical per-round informed sets — pinned by `tests/parallel_flooding.rs`
-/// at 1, 2, 4 and 8 threads over all five model kinds) and replaces the
-/// boundary sweep with a fork-join over the rayon pool:
-///
-/// * **Push** (small informed set): the informed entry list is cut into
-///   `threads` contiguous chunks; each worker expands its chunk's adjacency,
-///   claims newly covered cells through the shared [`AtomicBitset`]'s
-///   per-word fetch-OR, and stages the indices it won in a thread-local
-///   buffer.
-/// * **Pull** (informed fraction past the push/pull crossover near
-///   `√(1/2d)`, where `informed² · 2d ≥ alive²`): each
-///   worker walks one contiguous slab range
-///   ([`DynamicGraph::par_alive_ranges`]) and informs every uninformed alive
-///   cell that has a neighbour in the *frozen* pre-round bitset snapshot —
-///   frozen, so intra-round discoveries cannot chain into multi-hop spread.
-///   Late rounds therefore cost `O(alive / threads)` per worker instead of
-///   `O(informed · d)` random probes.
-/// * **Merge**: the thread-local buffers are concatenated and sorted (which
-///   shard won a boundary cell is scheduling-dependent; the sort restores a
-///   schedule-independent ascending entry order), then appended to the entry
-///   list. Since set-union is order-independent, the resulting informed set
-///   is bit-identical to the sequential engine's at any thread count.
-///
-/// Below [`PARALLEL_FLOODING_CUTOFF`] alive nodes the engine falls back to
-/// the sequential sweep outright. A one-thread budget keeps the direction
-/// switch (it is an algorithmic win, independent of parallelism); the
-/// fork-join then runs inline with a single shard.
-#[derive(Debug, Clone)]
-pub struct ParallelFrontier {
-    process: FloodingProcess,
-    threads: usize,
-    sequential_cutoff: usize,
-    /// Frozen pre-round bitset words (reused across rounds).
-    frozen: Vec<u64>,
-    /// Per-shard staging buffers of newly informed dense indices (reused).
-    shard_bufs: Vec<Vec<u32>>,
-    /// Concatenation + sort scratch for the merge phase (reused).
-    merge_scratch: Vec<u32>,
-    /// Per-shard order-preserving compaction buffers of the parallel
-    /// `is_current` revalidation sweep (reused).
-    reval_bufs: Vec<Vec<(DenseHandle, NodeId)>>,
-    /// Per-shard surviving-prefix counts of the same sweep (reused).
-    reval_counts: Vec<usize>,
-    last_direction: FrontierDirection,
-}
-
-impl ParallelFrontier {
-    fn wrap(process: FloodingProcess, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        };
-        ParallelFrontier {
-            process,
-            threads: threads.max(1),
-            sequential_cutoff: PARALLEL_FLOODING_CUTOFF,
-            frozen: Vec::new(),
-            shard_bufs: Vec::new(),
-            merge_scratch: Vec::new(),
-            reval_bufs: Vec::new(),
-            reval_counts: Vec::new(),
-            last_direction: FrontierDirection::Sequential,
+    /// Revalidates the informed entries against the live graph (see
+    /// [`InformedSet::revalidate`]), sharding the `is_current` sweep across
+    /// the thread budget once the entry list is past the sequential cutoff.
+    /// Each worker compacts one contiguous chunk into a private buffer
+    /// (relative order kept) and counts its survivors below the `prefix`
+    /// boundary; the buffers concatenate in chunk order, so the surviving
+    /// entry list — and the returned prefix count — are identical to the
+    /// sequential sweep's at any thread count. Dropped entries clear their
+    /// bits through the shared atomic fetch-AND (no sets race with it: the
+    /// expansion phase is over).
+    fn revalidate(&mut self, graph: &DynamicGraph, prefix: usize) -> usize {
+        let len = self.informed.len();
+        if self.threads == 1 || len <= self.sequential_cutoff {
+            return self.informed.revalidate(graph, prefix);
         }
-    }
-
-    /// Resolves a [`FloodingSource`] (possibly advancing the model to the
-    /// next join) and starts the engine from it with a thread budget (`0` =
-    /// one shard per pool thread).
-    pub fn start<M: DynamicNetwork + ?Sized>(
-        model: &mut M,
-        source: FloodingSource,
-        threads: usize,
-    ) -> Self {
-        Self::wrap(FloodingProcess::start(model, source), threads)
-    }
-
-    /// Overrides the sequential-fallback population cutoff (default
-    /// [`PARALLEL_FLOODING_CUTOFF`]); `0` forces the sharded path at any
-    /// size, which the determinism tests use.
-    #[must_use]
-    pub fn with_sequential_cutoff(mut self, cutoff: usize) -> Self {
-        self.sequential_cutoff = cutoff;
-        self
-    }
-
-    /// The configured thread budget (also the shard count).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Expansion strategy of the most recent round.
-    #[must_use]
-    pub fn last_direction(&self) -> FrontierDirection {
-        self.last_direction
-    }
-
-    /// The source node.
-    #[must_use]
-    pub fn source(&self) -> NodeId {
-        self.process.source()
-    }
-
-    /// Model time at which the source was informed.
-    #[must_use]
-    pub fn start_time(&self) -> f64 {
-        self.process.start_time()
-    }
-
-    /// The currently informed (alive) nodes, as a set of identifiers (rebuilt
-    /// on every call; prefer [`Self::informed_count`] in measurement loops).
-    #[must_use]
-    pub fn informed(&self) -> HashSet<NodeId> {
-        self.process.informed()
-    }
-
-    /// Number of currently informed nodes.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.process.informed_count()
-    }
-
-    /// Largest informed-set size observed so far.
-    #[must_use]
-    pub fn peak_informed(&self) -> usize {
-        self.process.peak_informed()
-    }
-
-    /// Number of rounds executed so far.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.process.rounds()
-    }
-
-    /// Whether the broadcast is complete after the last step.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.process.is_complete()
-    }
-
-    /// Dense slab indices of the currently informed entries, in entry order.
-    pub fn informed_dense(&self) -> impl Iterator<Item = u32> + '_ {
-        self.process.informed_dense()
-    }
-
-    /// Dense slab indices of the most recent round's newly informed nodes.
-    pub fn newly_informed_dense(&self) -> impl Iterator<Item = u32> + '_ {
-        self.process.newly_informed_dense()
-    }
-
-    /// Revalidates the informed entries against the live graph, sharding the
-    /// `is_current` sweep across the thread budget once the entry list is
-    /// past the sequential cutoff. Each worker compacts one contiguous chunk
-    /// into a private buffer (relative order kept) and counts its survivors
-    /// below the `prefix` boundary; the buffers concatenate in chunk order,
-    /// so the surviving entry list — and the returned prefix count — are
-    /// **identical to the sequential [`FloodingProcess::revalidate`]** at any
-    /// thread count. Dropped entries clear their bits through the shared
-    /// atomic fetch-AND (no sets race with it: the expansion phase is over).
-    ///
-    /// This removes the last large sequential term of a late flooding round
-    /// at `n = 10^6`: the boundary sweep was already sharded, but every
-    /// entry still paid its generation probe on one thread.
-    fn revalidate_sharded<M: DynamicNetwork + ?Sized>(
-        &mut self,
-        model: &M,
-        prefix: usize,
-    ) -> usize {
-        let graph = model.graph();
-        let ParallelFrontier {
-            process,
-            threads,
-            reval_bufs,
-            reval_counts,
-            ..
-        } = self;
-        let len = process.informed.entries.len();
-        if len == 0 {
-            return 0;
-        }
-        let shards = (*threads).min(len);
+        let shards = self.threads.min(len);
         let chunk = len.div_ceil(shards);
         let shard_count = len.div_ceil(chunk);
-        if reval_bufs.len() < shard_count {
-            reval_bufs.resize_with(shard_count, Vec::new);
+        if self.reval_bufs.len() < shard_count {
+            self.reval_bufs.resize_with(shard_count, Vec::new);
         }
-        reval_counts.clear();
-        reval_counts.resize(shard_count, 0);
+        self.reval_counts.clear();
+        self.reval_counts.resize(shard_count, 0);
         {
-            let entries = &process.informed.entries;
-            let bits = &process.informed.bits;
+            let entries = &self.informed.entries;
+            let bits = &self.informed.bits;
             rayon::scope(|s| {
                 for (i, ((slice, buf), count)) in entries
                     .chunks(chunk)
-                    .zip(reval_bufs.iter_mut())
-                    .zip(reval_counts.iter_mut())
+                    .zip(self.reval_bufs.iter_mut())
+                    .zip(self.reval_counts.iter_mut())
                     .enumerate()
                 {
                     let offset = i * chunk;
@@ -974,61 +820,43 @@ impl ParallelFrontier {
                 }
             });
         }
-        let entries = &mut process.informed.entries;
+        let entries = &mut self.informed.entries;
         entries.clear();
-        for buf in &reval_bufs[..shard_count] {
+        for buf in &self.reval_bufs[..shard_count] {
             entries.extend_from_slice(buf);
         }
-        reval_counts.iter().sum()
+        self.reval_counts.iter().sum()
     }
 
-    /// Dispatches between the sharded and the sequential revalidation sweep
-    /// (both produce identical results; the choice is wall-clock only).
-    fn revalidate_engine<M: DynamicNetwork + ?Sized>(&mut self, model: &M, prefix: usize) -> usize {
-        if self.threads > 1 && self.process.informed.entries.len() > self.sequential_cutoff {
-            self.revalidate_sharded(model, prefix)
-        } else {
-            self.process.revalidate(model, prefix)
-        }
-    }
-
-    /// Executes one flooding round with the sharded engine. Semantically
-    /// identical to [`FloodingProcess::step`].
-    pub fn step<M: DynamicNetwork + ?Sized>(&mut self, model: &mut M) -> RoundStats {
-        self.revalidate_engine(model, 0);
-        let prev_len = self.process.informed.entries.len();
-        {
-            let graph = model.graph();
-            self.process.informed.ensure_capacity(graph.slab_len());
-            let alive = graph.len();
-            // Size is the only fallback criterion: with a one-thread budget
-            // the fork-join runs inline (one shard, no worker threads), and
-            // the push→pull direction switch is exactly as profitable — it is
-            // an algorithmic win, not a parallelism win.
-            if alive <= self.sequential_cutoff {
-                self.last_direction = FrontierDirection::Sequential;
-                self.process.expand_sequential(graph, prev_len);
-            } else {
-                let pull = pull_is_cheaper(prev_len, alive, model.degree_parameter());
-                self.last_direction = if pull {
-                    FrontierDirection::Pull
-                } else {
-                    FrontierDirection::Push
-                };
-                self.expand_parallel(graph, prev_len, pull);
+    /// Boundary sweep in the current snapshot G_{t-1}: expands the bitset over
+    /// the dense adjacency of the first `prev_len` entries. Entries appended
+    /// during the sweep are the frontier of this round; they are not
+    /// re-expanded (their bits are set, so the loop over the pre-existing
+    /// prefix suffices).
+    fn expand_sequential(&mut self, graph: &DynamicGraph, prev_len: usize) {
+        let tagged = graph.tags_enabled();
+        for i in 0..prev_len {
+            let idx = self.informed.entries[i].0.index;
+            if tagged && graph.tag_at(idx) & TAG_NO_FORWARD != 0 {
+                continue; // informed but silent: never a source
+            }
+            for nb in graph.neighbor_indices_at(idx) {
+                if !self.informed.contains(nb) {
+                    let nb_handle = graph
+                        .handle_at(nb)
+                        .expect("adjacency points at alive cells");
+                    let nb_id = graph.id_at(nb).expect("adjacency points at alive cells");
+                    self.informed.insert(nb_handle, nb_id);
+                }
             }
         }
-        let summary = model.advance_time_unit();
-        let surviving_prev = self.revalidate_engine(model, prev_len);
-        self.process
-            .finish_round_with(model, &summary, surviving_prev)
     }
 
     /// The sharded boundary sweep (see the type docs for the push/pull
     /// mechanics). Only touches the graph read-only; all mutation goes
     /// through the atomic bitset and the post-join merge.
-    fn expand_parallel(&mut self, graph: &DynamicGraph, prev_len: usize, pull: bool) {
-        let informed = &self.process.informed;
+    fn expand_sharded(&mut self, graph: &DynamicGraph, prev_len: usize, pull: bool) {
+        let informed = &self.informed;
         // Only pull reads the frozen pre-round snapshot (push dedups against
         // the live bits); skipping the O(slab_len/64) copy keeps the small
         // early push rounds cheap.
@@ -1110,19 +938,86 @@ impl ParallelFrontier {
                 .handle_at(idx)
                 .expect("newly informed cells are alive");
             let id = graph.id_at(idx).expect("newly informed cells are alive");
-            self.process.informed.entries.push((handle, id));
+            self.informed.entries.push((handle, id));
+        }
+    }
+
+    /// Post-churn bookkeeping, with the revalidation against
+    /// `I_t = (I_{t-1} ∪ ∂out(I_{t-1})) ∩ N_t` already done (`surviving_prev`
+    /// of the pre-round entries survived): updates the counters and the
+    /// completion flag, and builds the round stats.
+    fn finish_round<M: DynamicNetwork + ?Sized>(
+        &mut self,
+        model: &M,
+        summary: &ChurnSummary,
+        surviving_prev: usize,
+    ) -> RoundStats {
+        let newly_informed = self.informed.len() - surviving_prev;
+        self.last_new_from = surviving_prev;
+        self.rounds += 1;
+        self.peak_informed = self.peak_informed.max(self.informed.len());
+
+        // Completion: every alive node that is not a newcomer of this interval
+        // is informed, i.e. I_t ⊇ N_{t-1} ∩ N_t. Newborns are never informed
+        // (the boundary sweep preceded their birth), so a counting argument
+        // replaces the former full scan over the alive set.
+        let alive = model.alive_count();
+        let births_alive = summary
+            .births
+            .iter()
+            .filter(|&&id| model.contains(id))
+            .count();
+        self.complete = self.informed.len() + births_alive == alive;
+
+        // Honest-only accounting: on untagged graphs the honest figures
+        // coincide with the global ones at zero extra cost; with tags the
+        // split is one O(informed + births) pass over data already touched.
+        let graph = model.graph();
+        let (informed_honest, alive_honest, honest_complete) = if graph.tags_enabled() {
+            let informed_honest = self
+                .informed
+                .entries
+                .iter()
+                .filter(|&&(handle, _)| graph.tag_at(handle.index) == 0)
+                .count();
+            let alive_honest = alive - graph.tagged_member_count();
+            let honest_births = summary
+                .births
+                .iter()
+                .filter_map(|&id| graph.dense_index_of(id))
+                .filter(|&idx| graph.tag_at(idx) == 0)
+                .count();
+            (
+                informed_honest,
+                alive_honest,
+                informed_honest + honest_births == alive_honest,
+            )
+        } else {
+            (self.informed.len(), alive, self.complete)
+        };
+
+        RoundStats {
+            round: self.rounds,
+            time: model.time(),
+            informed: self.informed.len(),
+            alive,
+            newly_informed,
+            complete: self.complete,
+            informed_honest,
+            alive_honest,
+            honest_complete,
         }
     }
 }
 
-/// The shared run-to-termination loop behind [`run_flooding`] and
-/// [`run_flooding_parallel`].
+/// The run-to-termination loop behind [`run_flooding`] and
+/// [`run_flooding_parallel_observed`]: steps `process` until `config`'s stop
+/// rule fires, calling `after_step` after every round.
 fn run_flooding_loop<M: DynamicNetwork + ?Sized>(
     model: &mut M,
     config: &FloodingConfig,
-    source: NodeId,
-    start_time: f64,
-    mut step_fn: impl FnMut(&mut M) -> RoundStats,
+    process: &mut FloodingProcess,
+    mut after_step: impl FnMut(&mut M, &FloodingProcess),
 ) -> FloodingRecord {
     let d = model.degree_parameter();
     let mut rounds = Vec::new();
@@ -1131,7 +1026,9 @@ fn run_flooding_loop<M: DynamicNetwork + ?Sized>(
     let outcome = loop {
         let stats = {
             let _sweep = tracing::span("sweep");
-            step_fn(model)
+            let stats = process.step(model);
+            after_step(model, process);
+            stats
         };
         let fraction = stats.informed_fraction();
         let informed = stats.informed;
@@ -1171,15 +1068,17 @@ fn run_flooding_loop<M: DynamicNetwork + ?Sized>(
     };
 
     FloodingRecord {
-        source,
-        start_time,
+        source: process.source(),
+        start_time: process.start_time(),
         rounds,
         outcome,
     }
 }
 
-/// Runs a flooding process to termination according to `config` and returns the
-/// full record.
+/// Runs a flooding process to termination according to `config` with a
+/// thread budget (`0` = one shard per pool thread) and returns the full
+/// record. The record is identical at any thread budget; only the
+/// wall-clock cost differs.
 ///
 /// # Example
 ///
@@ -1192,7 +1091,7 @@ fn run_flooding_loop<M: DynamicNetwork + ?Sized>(
 ///     StreamingConfig::new(128, 6).edge_policy(EdgePolicy::Regenerate).seed(3),
 /// )?;
 /// model.warm_up();
-/// let record = run_flooding(&mut model, FloodingSource::NextToJoin, &FloodingConfig::default());
+/// let record = run_flooding(&mut model, FloodingSource::NextToJoin, &FloodingConfig::default(), 1);
 /// assert!(record.final_fraction() > 0.9);
 /// # Ok(())
 /// # }
@@ -1201,40 +1100,23 @@ pub fn run_flooding<M: DynamicNetwork + ?Sized>(
     model: &mut M,
     source: FloodingSource,
     config: &FloodingConfig,
-) -> FloodingRecord {
-    let mut process = FloodingProcess::start(model, source);
-    let source_id = process.source();
-    let start_time = process.start_time();
-    run_flooding_loop(model, config, source_id, start_time, |m| process.step(m))
-}
-
-/// Like [`run_flooding`], but drives the sharded [`ParallelFrontier`] engine
-/// with the given thread budget (`0` = one shard per pool thread). The
-/// informed set per round — and with it the whole record — is identical to
-/// [`run_flooding`]'s at any thread count; only the wall-clock cost differs.
-pub fn run_flooding_parallel<M: DynamicNetwork + ?Sized>(
-    model: &mut M,
-    source: FloodingSource,
-    config: &FloodingConfig,
     threads: usize,
 ) -> FloodingRecord {
-    let mut engine = ParallelFrontier::start(model, source, threads);
-    let source_id = engine.source();
-    let start_time = engine.start_time();
-    run_flooding_loop(model, config, source_id, start_time, |m| engine.step(m))
+    let mut process = FloodingProcess::start(model, source, threads);
+    run_flooding_loop(model, config, &mut process, |_, _| {})
 }
 
-/// Like [`run_flooding_parallel`], with the graph's [`GraphDelta`] change
+/// Like [`run_flooding`], with the graph's [`GraphDelta`] change
 /// feed wired in: recording is (re)started before the run, and after every
-/// round `observer(model, delta, engine)` receives the round's drained churn
-/// window plus the engine (whose
-/// [`ParallelFrontier::newly_informed_dense`] lists the round's newly
+/// round `observer(model, delta, process)` receives the round's drained churn
+/// window plus the process (whose
+/// [`FloodingProcess::newly_informed_dense`] lists the round's newly
 /// informed cells). One initial call — empty-or-source-selection window, the
 /// source already informed — precedes the first round, so incremental
 /// overlap trackers (`churn-observe`'s `InformedOverlap`) can seed
 /// themselves. Recording is disabled again on return.
 ///
-/// The flooding trajectory is identical to [`run_flooding_parallel`]'s —
+/// The flooding trajectory is identical to [`run_flooding`]'s —
 /// observation reads, never steers.
 ///
 /// [`GraphDelta`]: churn_graph::GraphDelta
@@ -1247,25 +1129,21 @@ pub fn run_flooding_parallel_observed<M, F>(
 ) -> FloodingRecord
 where
     M: DynamicNetwork + ?Sized,
-    F: FnMut(&M, &churn_graph::GraphDelta, &ParallelFrontier),
+    F: FnMut(&M, &churn_graph::GraphDelta, &FloodingProcess),
 {
     // Restart recording so a stale pre-run window (e.g. a warm-up performed
     // with recording enabled) cannot leak into the first observation.
     model.graph_mut().set_delta_recording(false);
     model.graph_mut().set_delta_recording(true);
-    let mut engine = ParallelFrontier::start(model, source, threads);
-    let source_id = engine.source();
-    let start_time = engine.start_time();
+    let mut process = FloodingProcess::start(model, source, threads);
     let mut delta = churn_graph::GraphDelta::new();
     // Source selection may have advanced the model (FloodingSource::NextToJoin
     // waits for a join); hand that window to the observer before round 1.
     model.graph_mut().take_delta_into(&mut delta);
-    observer(&*model, &delta, &engine);
-    let record = run_flooding_loop(model, config, source_id, start_time, |m| {
-        let stats = engine.step(m);
+    observer(&*model, &delta, &process);
+    let record = run_flooding_loop(model, config, &mut process, |m, p| {
         m.graph_mut().take_delta_into(&mut delta);
-        observer(&*m, &delta, &engine);
-        stats
+        observer(&*m, &delta, p);
     });
     model.graph_mut().set_delta_recording(false);
     record
@@ -1301,6 +1179,7 @@ mod tests {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
         assert!(
             record.outcome.is_complete(),
@@ -1324,6 +1203,7 @@ mod tests {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::with_max_rounds(60).target_fraction(0.8),
+            1,
         );
         assert!(
             record.final_fraction() >= 0.8 || record.outcome.is_complete(),
@@ -1346,6 +1226,7 @@ mod tests {
                 &mut model,
                 FloodingSource::NextToJoin,
                 &FloodingConfig::with_max_rounds(200),
+                1,
             );
             if record.outcome.is_died_out() {
                 died += 1;
@@ -1371,6 +1252,7 @@ mod tests {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
         assert!(
             record.outcome.is_complete(),
@@ -1383,7 +1265,7 @@ mod tests {
     #[test]
     fn informed_set_grows_monotonically_in_sdgr_until_completion() {
         let mut model = sdgr(128, 6, 4);
-        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin);
+        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin, 1);
         let mut last = 1usize;
         for _ in 0..40 {
             let stats = process.step(&mut model);
@@ -1406,7 +1288,7 @@ mod tests {
         // newborn's neighbourhood being treated as informed.
         let mut model = sdgr(64, 4, 21);
         let source = model.alive_ids()[5];
-        let mut process = FloodingProcess::from_source(&model, source).unwrap();
+        let mut process = FloodingProcess::from_source(&model, source, 1).unwrap();
         // Churn the whole population over: every node alive at start (the
         // source included) dies, and every slab cell is recycled.
         for _ in 0..(2 * 64) {
@@ -1424,9 +1306,9 @@ mod tests {
     #[test]
     fn from_source_rejects_dead_nodes() {
         let model = sdgr(64, 4, 5);
-        assert!(FloodingProcess::from_source(&model, NodeId::new(u64::MAX)).is_none());
+        assert!(FloodingProcess::from_source(&model, NodeId::new(u64::MAX), 1).is_none());
         let alive = model.alive_ids()[0];
-        let process = FloodingProcess::from_source(&model, alive).unwrap();
+        let process = FloodingProcess::from_source(&model, alive, 1).unwrap();
         assert_eq!(process.informed_count(), 1);
         assert_eq!(process.source(), alive);
         assert_eq!(process.rounds(), 0);
@@ -1437,7 +1319,7 @@ mod tests {
     fn source_newest_uses_newest_alive_node() {
         let mut model = sdgr(64, 4, 6);
         let newest = model.newest_node().unwrap();
-        let process = FloodingProcess::start(&mut model, FloodingSource::Newest);
+        let process = FloodingProcess::start(&mut model, FloodingSource::Newest, 1);
         assert_eq!(process.source(), newest);
     }
 
@@ -1445,11 +1327,11 @@ mod tests {
     fn source_specific_node_is_respected_when_alive() {
         let mut model = sdgr(64, 4, 7);
         let target = model.alive_ids()[10];
-        let process = FloodingProcess::start(&mut model, FloodingSource::Node(target));
+        let process = FloodingProcess::start(&mut model, FloodingSource::Node(target), 1);
         assert_eq!(process.source(), target);
         // A dead node falls back to the next joiner.
         let process =
-            FloodingProcess::start(&mut model, FloodingSource::Node(NodeId::new(u64::MAX)));
+            FloodingProcess::start(&mut model, FloodingSource::Node(NodeId::new(u64::MAX)), 1);
         assert!(model.contains(process.source()));
     }
 
@@ -1460,6 +1342,7 @@ mod tests {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
         assert_eq!(record.rounds_elapsed(), record.rounds.len() as u64);
         assert!(record.peak_informed() >= 1);
@@ -1483,6 +1366,7 @@ mod tests {
                 target_fraction: Some(0.3),
                 stop_when_complete: false,
             },
+            1,
         );
         match record.outcome {
             FloodingOutcome::ReachedTarget { fraction, .. } => assert!(fraction >= 0.3),
@@ -1501,6 +1385,7 @@ mod tests {
                 target_fraction: None,
                 stop_when_complete: true,
             },
+            1,
         );
         // After only 3 rounds the outcome is either an early die-out or a round
         // limit with a small fraction.
@@ -1516,8 +1401,9 @@ mod tests {
     fn no_forward_tags_keep_engines_identical_and_split_honest_counts() {
         let mut seq_model = sdgr(512, 8, 21);
         let mut par_model = sdgr(512, 8, 21);
-        let mut seq = FloodingProcess::start(&mut seq_model, FloodingSource::NextToJoin);
-        let mut par = ParallelFrontier::start(&mut par_model, FloodingSource::NextToJoin, 4)
+        let mut seq = FloodingProcess::start(&mut seq_model, FloodingSource::NextToJoin, 1)
+            .with_sequential_cutoff(usize::MAX);
+        let mut par = FloodingProcess::start(&mut par_model, FloodingSource::NextToJoin, 4)
             .with_sequential_cutoff(0);
         let source = seq.source();
         assert_eq!(source, par.source());
@@ -1545,7 +1431,7 @@ mod tests {
         for _ in 0..40 {
             let seq_stats = seq.step(&mut seq_model);
             let par_stats = par.step(&mut par_model);
-            assert_eq!(seq_stats, par_stats, "engines diverge under tags");
+            assert_eq!(seq_stats, par_stats, "sweeps diverge under tags");
             assert_eq!(seq.informed(), par.informed());
             // The honest split is consistent with a direct recount.
             let graph = seq_model.graph();
@@ -1573,7 +1459,7 @@ mod tests {
     #[test]
     fn silent_nodes_receive_but_never_forward() {
         let mut model = sdgr(128, 4, 7);
-        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin);
+        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin, 1);
         let source = process.source();
         let source_idx = model.graph().dense_index_of(source).unwrap();
         // Everyone except the source is silent: only the source ever forwards.
@@ -1654,14 +1540,15 @@ mod tests {
         assert!(pull_is_cheaper(1000, 1000, 0));
     }
 
-    /// Steps the sequential and a parallel engine in lock-step over two
-    /// identically seeded models and asserts the per-round stats and informed
-    /// sets coincide exactly.
+    /// Steps the sequential sweep and the sharded sweep at `threads` in
+    /// lock-step over two identically seeded models and asserts the per-round
+    /// stats and informed sets coincide exactly.
     fn assert_parallel_matches_sequential(threads: usize, n: usize, d: usize, seed: u64) {
         let mut seq_model = sdgr(n, d, seed);
         let mut par_model = sdgr(n, d, seed);
-        let mut seq = FloodingProcess::start(&mut seq_model, FloodingSource::NextToJoin);
-        let mut par = ParallelFrontier::start(&mut par_model, FloodingSource::NextToJoin, threads)
+        let mut seq = FloodingProcess::start(&mut seq_model, FloodingSource::NextToJoin, 1)
+            .with_sequential_cutoff(usize::MAX);
+        let mut par = FloodingProcess::start(&mut par_model, FloodingSource::NextToJoin, threads)
             .with_sequential_cutoff(0);
         assert_eq!(seq.source(), par.source());
         let mut directions = Vec::new();
@@ -1695,10 +1582,10 @@ mod tests {
     #[test]
     fn parallel_engine_handles_external_churn_between_steps() {
         // Mirror of external_churn_between_steps_does_not_corrupt_informed_set
-        // for the sharded engine: stale entries must drop out, not re-seed.
+        // for the sharded sweep: stale entries must drop out, not re-seed.
         let mut model = sdgr(64, 4, 21);
         let source = model.alive_ids()[5];
-        let mut engine = ParallelFrontier::start(&mut model, FloodingSource::Node(source), 4)
+        let mut engine = FloodingProcess::start(&mut model, FloodingSource::Node(source), 4)
             .with_sequential_cutoff(0);
         for _ in 0..(2 * 64) {
             model.advance_time_unit();
@@ -1711,27 +1598,27 @@ mod tests {
     }
 
     #[test]
-    fn run_flooding_parallel_matches_run_flooding() {
+    fn sharded_run_matches_run_flooding() {
+        // The sharded sweep at 4 threads, driven by the run loop, must
+        // reproduce the sequential record of `run_flooding(…, 1)`.
         let mut a = sdgr(300, 6, 5);
         let mut b = sdgr(300, 6, 5);
         let seq = run_flooding(
             &mut a,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
-        let par = run_flooding_parallel(
-            &mut b,
-            FloodingSource::NextToJoin,
-            &FloodingConfig::default(),
-            4,
-        );
-        assert_eq!(seq, par, "records must be identical engine-for-engine");
+        let mut sharded =
+            FloodingProcess::start(&mut b, FloodingSource::NextToJoin, 4).with_sequential_cutoff(0);
+        let par = run_flooding_loop(&mut b, &FloodingConfig::default(), &mut sharded, |_, _| {});
+        assert_eq!(seq, par, "records must be identical sweep-for-sweep");
     }
 
     #[test]
     fn parallel_engine_accessors_and_auto_threads() {
         let mut model = sdgr(64, 4, 9);
-        let engine = ParallelFrontier::start(&mut model, FloodingSource::Newest, 0);
+        let engine = FloodingProcess::start(&mut model, FloodingSource::Newest, 0);
         assert_eq!(engine.threads(), rayon::current_num_threads().max(1));
         assert_eq!(engine.rounds(), 0);
         assert_eq!(engine.informed_count(), 1);
@@ -1744,7 +1631,7 @@ mod tests {
     #[test]
     fn dense_informed_accessors_track_rounds() {
         let mut model = sdgr(96, 5, 13);
-        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin);
+        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin, 1);
         assert_eq!(process.informed_dense().count(), 1);
         assert_eq!(
             process.newly_informed_dense().count(),
@@ -1761,9 +1648,9 @@ mod tests {
             .map(|idx| graph.id_at(idx).unwrap())
             .collect();
         assert_eq!(via_dense, process.informed());
-        // The parallel engine exposes the same accessors.
+        // The sharded sweep feeds the same accessors.
         let mut par_model = sdgr(96, 5, 13);
-        let mut engine = ParallelFrontier::start(&mut par_model, FloodingSource::NextToJoin, 4)
+        let mut engine = FloodingProcess::start(&mut par_model, FloodingSource::NextToJoin, 4)
             .with_sequential_cutoff(0);
         let par_stats = engine.step(&mut par_model);
         assert_eq!(par_stats, stats);
@@ -1802,7 +1689,7 @@ mod tests {
     #[test]
     fn observed_parallel_run_matches_plain_and_feeds_the_observer() {
         let mut plain_model = sdgr(192, 6, 9);
-        let plain = run_flooding_parallel(
+        let plain = run_flooding(
             &mut plain_model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),

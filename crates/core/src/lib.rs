@@ -53,6 +53,7 @@
 //!     &mut model,
 //!     FloodingSource::NextToJoin,
 //!     &FloodingConfig::default(),
+//!     1,
 //! );
 //! assert!(record.outcome.is_complete(), "SDGR floods everyone quickly");
 //! # Ok(())

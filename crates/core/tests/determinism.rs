@@ -27,6 +27,7 @@ fn flooding_trace(kind: ModelKind, seed: u64) -> FloodingRecord {
         &mut model,
         FloodingSource::NextToJoin,
         &FloodingConfig::default(),
+        1,
     )
 }
 

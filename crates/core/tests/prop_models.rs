@@ -167,6 +167,7 @@ proptest! {
             &mut m,
             FloodingSource::NextToJoin,
             &FloodingConfig::with_max_rounds(50),
+            1,
         );
         prop_assert!(!record.rounds.is_empty());
         for (i, stats) in record.rounds.iter().enumerate() {

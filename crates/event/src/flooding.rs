@@ -271,7 +271,7 @@ impl From<RumorCopy> for Ev {
 fn anti_entropy(net: &mut Net<'_, Ev>, rumor: &Rumor, graph: &DynamicGraph, now: f64) {
     for &idx in graph.member_indices() {
         let id = graph.id_at(idx).expect("members are alive");
-        if rumor.holds(id) || net.faults.is_down(id.raw()) {
+        if rumor.holds(idx) || net.faults.is_down(id.raw()) {
             continue;
         }
         let Some(partner_idx) = graph.sample_member(net.faults.rng()) else {
@@ -281,7 +281,7 @@ fn anti_entropy(net: &mut Net<'_, Ev>, rumor: &Rumor, graph: &DynamicGraph, now:
             continue; // self-pull finds nothing new
         }
         let partner = graph.id_at(partner_idx).expect("members are alive");
-        if !rumor.holds(partner)
+        if !rumor.holds(partner_idx)
             || net.faults.is_down(partner.raw())
             || net.faults.blocked(now, partner.raw(), id.raw())
         {
@@ -323,7 +323,7 @@ fn heal_census(
             let id = graph.id_at(idx).expect("members are alive");
             let block = plan.block_of(w_idx, id.raw()) as usize;
             alive[block] += 1;
-            if rumor.holds(id) {
+            if rumor.holds(idx) {
                 informed[block] += 1;
             }
         }
@@ -431,7 +431,7 @@ pub fn run_async_flooding_faulty<H: FloodHost>(
                 heal_census(&mut net, &rumor, graph, last_tick, now);
                 for (target, id, back) in net.crash_sweep(graph, now) {
                     net.sched.record(TRACE_CRASH, id.raw());
-                    rumor.forget(id);
+                    rumor.forget(target);
                     net.sched.schedule_at(back, Ev::Restart { target, id });
                 }
                 rumor.note_completion(graph.len(), now);

@@ -701,7 +701,7 @@ impl<'p> Raes<'p> {
             self.pending.retain(|p| p.owner_id != id);
             self.reindex_pending();
             self.reserved.remove(&id.raw());
-            self.rumor.forget(id);
+            self.rumor.forget(target);
             self.net.sched.schedule_at(back, Ev::Restart { target, id });
         }
     }

@@ -9,8 +9,7 @@
 //! Each loop keeps its own event type and trace kinds; it reads the outcome
 //! of a send or a gate and records what it wants.
 
-use churn_core::flooding::TAG_NO_FORWARD;
-use churn_graph::hashing::IdHashSet;
+use churn_core::flooding::{InformedSet, TAG_NO_FORWARD};
 use churn_graph::{DenseHandle, DynamicGraph, NodeId};
 use churn_stochastic::rng::SimRng;
 
@@ -236,10 +235,14 @@ pub(crate) struct RumorCopy {
 
 /// The flood state: who holds the rumor, the deepest hop that informed
 /// anyone, and when every alive node first held it.
+///
+/// The holders live in the same [`InformedSet`] the synchronous engine
+/// uses, keyed by slab cell. Both loops call [`Self::revalidate`] right
+/// after each churn tick, before any delivery, so a dead holder's bit is
+/// cleared before a newborn in its cell can be asked about.
 #[derive(Debug, Default)]
 pub(crate) struct Rumor {
-    informed: IdHashSet<u64>,
-    entries: Vec<(DenseHandle, NodeId)>,
+    informed: InformedSet,
     pub(crate) rounds: u32,
     pub(crate) completion: Option<f64>,
 }
@@ -257,8 +260,7 @@ impl Rumor {
     ) {
         let id = graph.id_at(idx).expect("informed nodes are alive");
         let handle = graph.handle_at(idx).expect("informed nodes are alive");
-        self.informed.insert(id.raw());
-        self.entries.push((handle, id));
+        self.informed.insert(handle, id);
         self.rounds = self.rounds.max(hop);
         if graph.tags_enabled() && graph.tag_at(idx) & TAG_NO_FORWARD != 0 {
             return; // informed, but does not forward (Byzantine behavior)
@@ -291,7 +293,7 @@ impl Rumor {
         now: f64,
     ) -> Result<bool, Refused> {
         net.admit(graph, copy.target, copy.id, copy.from, copy.departs)?;
-        if self.holds(copy.id) {
+        if self.holds(copy.target.index) {
             return Ok(false);
         }
         self.inform(net, graph, copy.target.index, copy.hop, now);
@@ -300,50 +302,129 @@ impl Rumor {
 
     /// Drops informed nodes that died in a churn window.
     pub(crate) fn revalidate(&mut self, graph: &DynamicGraph) {
-        let informed = &mut self.informed;
-        self.entries.retain(|&(handle, id)| {
-            let alive = graph.is_current(handle);
-            if !alive {
-                informed.remove(&id.raw());
-            }
-            alive
-        });
+        self.informed.revalidate(graph, 0);
     }
 
     /// Drops the rumor of a crashed node.
-    pub(crate) fn forget(&mut self, id: NodeId) {
-        if self.informed.remove(&id.raw()) {
-            self.entries.retain(|&(_, entry_id)| entry_id != id);
-        }
+    pub(crate) fn forget(&mut self, handle: DenseHandle) {
+        self.informed.remove(handle);
     }
 
     /// Records `now` as the completion instant the first time every one of
     /// the `alive` nodes holds the rumor.
     pub(crate) fn note_completion(&mut self, alive: usize, now: f64) {
-        if self.completion.is_none() && self.entries.len() == alive {
+        if self.completion.is_none() && self.informed.len() == alive {
             self.completion = Some(now);
         }
     }
 
-    /// Whether `id` holds the rumor.
-    pub(crate) fn holds(&self, id: NodeId) -> bool {
-        self.informed.contains(&id.raw())
+    /// Whether the node in slab cell `idx` holds the rumor.
+    pub(crate) fn holds(&self, idx: u32) -> bool {
+        self.informed.contains(idx)
     }
 
     /// Informed alive nodes.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.informed.len()
     }
 
     /// Whether the rumor reached all `alive` nodes (and anyone at all).
     pub(crate) fn complete(&self, alive: usize) -> bool {
-        !self.entries.is_empty() && self.entries.len() == alive
+        !self.informed.is_empty() && self.informed.len() == alive
     }
 
     /// The informed nodes, sorted by identifier.
     pub(crate) fn sorted_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.entries.iter().map(|&(_, id)| id).collect();
+        let mut ids: Vec<NodeId> = self.informed.entries().iter().map(|&(_, id)| id).collect();
         ids.sort_unstable();
         ids
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use churn_stochastic::rng::seeded_rng;
+
+    /// A bare event type: these tests only inspect what the rumor holds.
+    #[derive(Debug, Clone, Copy)]
+    struct Sent;
+
+    impl From<RumorCopy> for Sent {
+        fn from(_: RumorCopy) -> Self {
+            Sent
+        }
+    }
+
+    fn net(plan: &FaultPlan) -> Net<'_, Sent> {
+        let (latency, bandwidth) = (LatencyModel::Fixed(1.0), BandwidthModel::unlimited());
+        Net::new(latency, bandwidth, plan, 1, seeded_rng(1))
+    }
+
+    /// `n` isolated nodes with identifiers `0..n` in cells `0..n`.
+    fn nodes(n: u64) -> DynamicGraph {
+        let mut graph = DynamicGraph::new();
+        for raw in 0..n {
+            graph.add_node_indexed(NodeId::new(raw), 1).unwrap();
+        }
+        graph
+    }
+
+    fn copy_to(graph: &DynamicGraph, idx: u32, departs: f64) -> RumorCopy {
+        RumorCopy {
+            target: graph.handle_at(idx).unwrap(),
+            id: graph.id_at(idx).unwrap(),
+            from: NodeId::new(0),
+            departs,
+            hop: 1,
+        }
+    }
+
+    #[test]
+    fn a_newborn_in_a_dead_holders_cell_is_not_held_after_revalidate() {
+        let plan = FaultPlan::none();
+        let mut net = net(&plan);
+        let mut graph = nodes(3);
+        let mut rumor = Rumor::default();
+        rumor.inform(&mut net, &graph, 1, 0, 0.0);
+        assert!(rumor.holds(1));
+        // One churn window: the holder dies and a newborn takes its cell.
+        graph.remove_node_at(1).unwrap();
+        let newborn = graph.add_node_indexed(NodeId::new(3), 1).unwrap();
+        assert_eq!(newborn, 1, "the newborn reuses the dead holder's cell");
+        rumor.revalidate(&graph);
+        assert!(!rumor.holds(newborn));
+        assert_eq!(rumor.len(), 0);
+        assert!(rumor.sorted_ids().is_empty());
+        // A copy addressed to the newborn informs it afresh.
+        let copy = copy_to(&graph, newborn, 0.0);
+        assert_eq!(rumor.deliver(&mut net, &graph, copy, 1.0), Ok(true));
+        assert_eq!(rumor.sorted_ids(), vec![NodeId::new(3)]);
+    }
+
+    #[test]
+    fn a_crashed_holder_is_forgotten_and_informed_again_after_restart() {
+        let plan = FaultPlan::none();
+        let mut net = net(&plan);
+        let graph = nodes(3);
+        let mut rumor = Rumor::default();
+        rumor.inform(&mut net, &graph, 0, 0, 0.0);
+        rumor.inform(&mut net, &graph, 2, 1, 0.0);
+        let (handle, id) = (graph.handle_at(2).unwrap(), NodeId::new(2));
+        // The crash: the node goes down and loses its copy.
+        net.faults.mark_down(id.raw(), 1.0);
+        rumor.forget(handle);
+        assert!(!rumor.holds(2));
+        assert_eq!(rumor.sorted_ids(), vec![NodeId::new(0)]);
+        let copy = copy_to(&graph, 2, 1.0);
+        assert_eq!(
+            rumor.deliver(&mut net, &graph, copy, 1.5),
+            Err(Refused::Down)
+        );
+        assert!(net.restart(&graph, handle, id, 2.0));
+        let copy = copy_to(&graph, 2, 2.0);
+        assert_eq!(rumor.deliver(&mut net, &graph, copy, 2.5), Ok(true));
+        assert!(rumor.holds(2));
+        assert_eq!(rumor.sorted_ids(), vec![NodeId::new(0), id]);
     }
 }

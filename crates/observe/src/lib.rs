@@ -36,7 +36,9 @@
 //!   the currently isolated nodes stay isolated until they die, at O(churn)
 //!   per round instead of O(candidates).
 //! * [`InformedOverlap`] — the alive-informed overlap of a flooding run,
-//!   fed by `FloodingProcess::newly_informed_dense` and the delta's deaths.
+//!   fed by `FloodingProcess::newly_informed_dense` (the observer of
+//!   `run_flooding_parallel_observed` receives the process) and the delta's
+//!   deaths.
 //! * [`RecoveryCensus`] — a point-in-time per-partition-block census of
 //!   flood recovery (alive and informed counts per block of a deterministic
 //!   id-hash partition), for the chaos scenarios' heal and end-of-run

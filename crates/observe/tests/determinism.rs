@@ -160,7 +160,7 @@ fn informed_overlap_tracks_flooding_informed_count() {
     let mut model = ModelKind::Sdgr.build(128, 5, 13).unwrap();
     model.warm_up();
     model.graph_mut().set_delta_recording(true);
-    let mut process = FloodingProcess::start(&mut model, FloodingSource::Newest);
+    let mut process = FloodingProcess::start(&mut model, FloodingSource::Newest, 1);
     // Starting the process may advance the model; drop whatever churn that
     // recorded before wiring the tracker.
     let mut delta = GraphDelta::new();

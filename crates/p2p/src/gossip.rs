@@ -50,6 +50,7 @@ pub fn propagate_block<M: DynamicNetwork + ?Sized>(
         overlay,
         FloodingSource::NextToJoin,
         &FloodingConfig::with_max_rounds(max_delays),
+        1,
     );
     let delays_to_full = match &record.outcome {
         FloodingOutcome::Completed { rounds } => Some(*rounds),
@@ -124,7 +125,6 @@ mod tests {
 
     #[test]
     fn blocks_relay_over_a_raes_maintained_overlay() {
-        use churn_core::flooding::run_flooding_parallel;
         use churn_protocol::{ChurnDriver, RaesConfig, RaesModel};
 
         // Bitcoin-Core parameters mapped onto RAES: expected peers -> n,
@@ -151,8 +151,8 @@ mod tests {
             "block coverage only {:.2} over RAES",
             report.final_coverage
         );
-        // The sharded relay produces the identical trace on the same seed.
-        let parallel = run_flooding_parallel(
+        // A four-thread budget produces the identical trace on the same seed.
+        let parallel = run_flooding(
             &mut raes(),
             FloodingSource::NextToJoin,
             &FloodingConfig::with_max_rounds(100),

@@ -1,7 +1,5 @@
 //! The peer-to-peer overlay simulation.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost};
@@ -32,14 +30,19 @@ pub struct P2pNetwork {
     chain: BirthDeathChain,
     time: f64,
     jumps: u64,
-    birth_time: HashMap<NodeId, f64>,
-    addrmans: HashMap<NodeId, AddressManager>,
+    /// Birth time per slab cell (stale in vacated cells;
+    /// [`DynamicNetwork::birth_time`] resolves only alive identifiers).
+    birth_time: Vec<f64>,
+    /// Address manager per slab cell (`None` in vacated cells).
+    addrmans: Vec<Option<AddressManager>>,
     alloc: NodeIdAllocator,
     newest: Option<NodeId>,
     /// Reused dense-neighbour buffer of the gossip relay loop.
     gossip_scratch: Vec<u32>,
     /// Reused empty-slot buffer of the outbound dialling loop.
     slot_scratch: Vec<usize>,
+    /// Reused member-index buffer of the maintenance pass.
+    peer_scratch: Vec<u32>,
     /// Counters updated as the simulation runs, exposed via [`Self::stats`].
     connect_attempts: u64,
     connect_successes: u64,
@@ -74,12 +77,13 @@ impl P2pNetwork {
             chain,
             time: 0.0,
             jumps: 0,
-            birth_time: HashMap::with_capacity(capacity),
-            addrmans: HashMap::with_capacity(capacity),
+            birth_time: Vec::with_capacity(capacity),
+            addrmans: Vec::with_capacity(capacity),
             alloc: NodeIdAllocator::new(),
             newest: None,
             gossip_scratch: Vec::new(),
             slot_scratch: Vec::new(),
+            peer_scratch: Vec::new(),
             connect_attempts: 0,
             connect_successes: 0,
             stale_addresses_pruned: 0,
@@ -106,7 +110,8 @@ impl P2pNetwork {
     /// The address manager of an online peer.
     #[must_use]
     pub fn addrman(&self, peer: NodeId) -> Option<&AddressManager> {
-        self.addrmans.get(&peer)
+        let idx = self.graph.dense_index_of(peer)?;
+        self.addrmans[idx as usize].as_ref()
     }
 
     /// Number of inbound connections a peer currently has.
@@ -136,17 +141,20 @@ impl P2pNetwork {
             .graph
             .add_node_indexed(id, self.config.target_outbound)
             .expect("allocator never reuses identifiers");
-        self.addrmans.insert(id, addrman);
-        self.birth_time.insert(id, time);
+        // The slab grows one cell at a time, so these are no-ops or pushes.
+        let cells = self.graph.slab_len();
+        self.birth_time.resize(cells, f64::NAN);
+        self.addrmans.resize_with(cells, || None);
+        self.birth_time[idx as usize] = time;
+        self.addrmans[idx as usize] = Some(addrman);
         self.newest = Some(id);
         // Open outbound connections right away, like a starting node would.
-        self.fill_outbound(id);
+        self.fill_outbound(idx);
         (id, idx)
     }
 
     fn kill_peer(&mut self, victim: NodeId, victim_idx: u32) {
-        self.birth_time.remove(&victim);
-        self.addrmans.remove(&victim);
+        self.addrmans[victim_idx as usize] = None;
         if self.newest == Some(victim) {
             self.newest = None;
         }
@@ -158,24 +166,20 @@ impl P2pNetwork {
             .expect("victim sampled from the graph's members");
     }
 
-    /// Tries to fill every empty outbound slot of `peer` with a connection to an
-    /// address from its address manager, respecting the targets' inbound caps.
+    /// Tries to fill every empty outbound slot of the peer in cell `peer_idx`
+    /// with a connection to an address from its address manager, respecting
+    /// the targets' inbound caps.
     ///
-    /// Runs on the graph's dense slab indices (mirroring the PR 3 port of the
-    /// gossip relay): the peer resolves through the identifier map once, the
-    /// empty-slot scan walks the record's slot array directly into a reused
-    /// buffer, and each dialled candidate pays exactly one identifier lookup
-    /// (`dense_index_of`, which doubles as the liveness check) — the
-    /// per-candidate `contains` / `has_edge` / `in_request_count` /
-    /// `set_out_slot` hash resolutions of the identifier API are gone. The
-    /// addrman sampling order is unchanged, so trajectories are identical.
-    fn fill_outbound(&mut self, peer: NodeId) {
-        let Some(peer_idx) = self.graph.dense_index_of(peer) else {
-            return;
-        };
-        let Some(mut addrman) = self.addrmans.remove(&peer) else {
-            return;
-        };
+    /// Runs on the graph's dense slab indices: the address manager is
+    /// borrowed in place from its cell, the empty-slot scan walks the
+    /// record's slot array directly into a reused buffer, and each dialled
+    /// candidate pays exactly one identifier lookup (`dense_index_of`, which
+    /// doubles as the liveness check).
+    fn fill_outbound(&mut self, peer_idx: u32) {
+        let peer = self.graph.id_at(peer_idx).expect("peer cells are occupied");
+        let addrman = self.addrmans[peer_idx as usize]
+            .as_mut()
+            .expect("alive peers have an address table");
         let mut empty_slots = std::mem::take(&mut self.slot_scratch);
         empty_slots.clear();
         empty_slots.extend(
@@ -219,21 +223,17 @@ impl P2pNetwork {
             }
         }
         self.slot_scratch = empty_slots;
-        self.addrmans.insert(peer, addrman);
     }
 
-    /// Exchanges addresses between `peer` and one of its current neighbours.
+    /// Exchanges addresses between the peer in cell `peer_idx` and one of its
+    /// current neighbours.
     ///
     /// The relay partner is drawn through the dense slab adjacency (one
-    /// neighbour-list walk into a reused scratch buffer, one identifier
-    /// resolution for the chosen partner) instead of the identifier-based
-    /// `neighbors()` query, which allocated and sorted the full
-    /// distinct-neighbour set per call — this runs once per peer per
-    /// maintenance round, making it the overlay's hottest relay loop.
-    fn gossip_addresses(&mut self, peer: NodeId) {
-        let Some(peer_idx) = self.graph.dense_index_of(peer) else {
-            return;
-        };
+    /// neighbour-list walk into a reused scratch buffer), and both address
+    /// managers are borrowed in place from their cells — this runs once per
+    /// peer per maintenance round, making it the overlay's hottest relay
+    /// loop.
+    fn gossip_addresses(&mut self, peer_idx: u32) {
         let mut scratch = std::mem::take(&mut self.gossip_scratch);
         scratch.clear();
         self.graph.neighbors_dense_into(peer_idx, &mut scratch);
@@ -244,19 +244,21 @@ impl P2pNetwork {
             // pair (dials check `has_edge` in both directions), so the dense
             // incident-link list is duplicate-free and this is a uniform draw
             // over the distinct neighbours.
-            let partner_idx = scratch[self.rng.gen_range(0..scratch.len())];
-            self.graph.id_at(partner_idx)
+            Some(scratch[self.rng.gen_range(0..scratch.len())])
         };
         self.gossip_scratch = scratch;
-        let Some(partner) = partner else {
+        let Some(partner_idx) = partner else {
             return;
         };
-        let Some(mut mine) = self.addrmans.remove(&peer) else {
-            return;
-        };
-        let Some(mut theirs) = self.addrmans.remove(&partner) else {
-            self.addrmans.insert(peer, mine);
-            return;
+        let peer = self.graph.id_at(peer_idx).expect("peer cells are occupied");
+        let partner = self.graph.id_at(partner_idx).expect("neighbours are alive");
+        // Dials never target the dialler, so the two cells are distinct.
+        let [Some(mine), Some(theirs)] = self
+            .addrmans
+            .get_disjoint_mut([peer_idx as usize, partner_idx as usize])
+            .expect("a peer is never its own neighbour")
+        else {
+            unreachable!("alive peers have an address table");
         };
         let count = self.config.gossip_addresses;
         // Each side advertises a sample of its table plus its own address.
@@ -274,20 +276,22 @@ impl P2pNetwork {
                 theirs.insert(addr, &mut self.rng);
             }
         }
-        self.addrmans.insert(peer, mine);
-        self.addrmans.insert(partner, theirs);
     }
 
-    /// One maintenance pass over all online peers: re-fill missing outbound
-    /// connections and gossip addresses.
+    /// One maintenance pass over all online peers, in member-table order:
+    /// re-fill missing outbound connections, then gossip addresses. Neither
+    /// step adds or removes a peer, so the member table stays fixed.
     fn maintenance(&mut self) {
-        let peers: Vec<NodeId> = self.graph.node_ids().collect();
-        for &peer in &peers {
-            self.fill_outbound(peer);
+        let mut peers = std::mem::take(&mut self.peer_scratch);
+        peers.clear();
+        peers.extend_from_slice(self.graph.member_indices());
+        for &peer_idx in &peers {
+            self.fill_outbound(peer_idx);
         }
-        for peer in peers {
-            self.gossip_addresses(peer);
+        for &peer_idx in &peers {
+            self.gossip_addresses(peer_idx);
         }
+        self.peer_scratch = peers;
     }
 
     /// Advances the underlying churn process until `target` through the
@@ -373,7 +377,9 @@ impl DynamicNetwork for P2pNetwork {
     }
 
     fn birth_time(&self, id: NodeId) -> Option<f64> {
-        self.birth_time.get(&id).copied()
+        self.graph
+            .dense_index_of(id)
+            .map(|idx| self.birth_time[idx as usize])
     }
 
     fn newest_node(&self) -> Option<NodeId> {

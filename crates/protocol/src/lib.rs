@@ -45,6 +45,7 @@
 //!     &mut model,
 //!     FloodingSource::NextToJoin,
 //!     &FloodingConfig::default(),
+//!     1,
 //! );
 //! assert!(record.outcome.is_complete(), "RAES topologies flood quickly");
 //! println!(

@@ -1252,6 +1252,7 @@ mod tests {
             &mut m,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
         assert!(
             record.outcome.is_complete(),

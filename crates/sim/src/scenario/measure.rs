@@ -589,6 +589,7 @@ fn flooding_cell(
         &mut net,
         FloodingSource::NextToJoin,
         &FloodingConfig::with_max_rounds(max_rounds),
+        1,
     );
     flooding_metrics(&record, max_rounds, &mut out);
     if let AnyNet::Raes(model) = &net {
@@ -626,9 +627,9 @@ fn parallel_flooding_cell(
         FloodingSource::NextToJoin,
         &FloodingConfig::with_max_rounds(max_rounds),
         threads,
-        |_, delta, engine| {
+        |_, delta, process| {
             overlap.apply(delta);
-            for idx in engine.newly_informed_dense() {
+            for idx in process.newly_informed_dense() {
                 overlap.mark(idx);
             }
         },
@@ -703,6 +704,7 @@ fn partial_flooding_cell(cell: &CellSpec, seed: u64) -> Metrics {
             target_fraction: None,
             stop_when_complete: true,
         },
+        1,
     );
     let coverage = record.final_fraction();
     vec![

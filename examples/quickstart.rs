@@ -40,6 +40,7 @@ fn main() {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::with_max_rounds(10 * (n as f64).log2().ceil() as u64),
+            1,
         );
 
         table.push_row([

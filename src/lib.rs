@@ -48,6 +48,7 @@
 //!     &mut network,
 //!     FloodingSource::NextToJoin,
 //!     &FloodingConfig::default(),
+//!     1,
 //! );
 //! assert!(record.outcome.is_complete());
 //! # Ok(())

@@ -113,6 +113,7 @@ fn with_regeneration_flooding_completes_fast() {
             &mut model,
             FloodingSource::NextToJoin,
             &FloodingConfig::default(),
+            1,
         );
         assert!(
             record.outcome.is_complete(),
@@ -145,6 +146,7 @@ fn without_regeneration_flooding_reaches_most_nodes() {
                     &mut model,
                     FloodingSource::NextToJoin,
                     &FloodingConfig::with_max_rounds(60),
+                    1,
                 );
                 total += record.final_fraction();
             }
@@ -182,6 +184,7 @@ fn without_regeneration_flooding_sometimes_dies_out() {
                 &mut model,
                 FloodingSource::NextToJoin,
                 &FloodingConfig::with_max_rounds(60),
+                1,
             );
             if record.outcome.is_died_out() {
                 died_somewhere = true;
