@@ -1,11 +1,9 @@
 //! Paper-claim vs measured-value comparisons.
 
-use serde::{Deserialize, Serialize};
-
 use churn_sim::Table;
 
 /// One "paper says X, we measured Y" row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// What is being compared (e.g. `isolated fraction, SDG n=4096 d=2`).
     pub label: String,
@@ -60,7 +58,7 @@ impl Comparison {
 }
 
 /// A named collection of comparisons, renderable as a report table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComparisonSet {
     /// Name of the experiment the comparisons belong to.
     pub name: String,

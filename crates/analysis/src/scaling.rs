@@ -1,11 +1,9 @@
 //! Scaling-shape classification of measured series.
 
-use serde::{Deserialize, Serialize};
-
 use churn_stochastic::stats::{linear_fit, log_fit, LinearFit};
 
 /// A fitted scaling curve together with its goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingFit {
     /// The least-squares fit (over the transformed abscissa for logarithmic
     /// fits).
@@ -35,7 +33,7 @@ pub fn fit_linear_in_n(points: &[(f64, f64)]) -> Option<ScalingFit> {
 }
 
 /// Which growth shape a measured series most resembles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingClass {
     /// The series is explained (distinctly better) by `a + b·log n`.
     Logarithmic,

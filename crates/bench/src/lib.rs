@@ -1,21 +1,16 @@
 //! # churn-bench
 //!
-//! Experiment binaries and Criterion benches for the churn-network
-//! reproduction.
+//! The scenario registry and the `exp` experiment runner for the
+//! churn-network reproduction.
 //!
-//! * Every experiment is a registered scenario ([`scenarios::registry`]) run
-//!   through the single `exp` binary:
-//!   `cargo run --release -p churn-bench --bin exp -- run isolated-nodes`,
-//!   etc. `--smoke` shrinks the grid for a fast smoke run; the default is the
-//!   full laptop-scale grid each scenario declares in the registry.
-//! * The Criterion benches in `benches/` measure the library's own throughput
-//!   (model stepping, snapshotting, flooding, expansion estimation, jump-chain
-//!   sampling) plus two design ablations of the graph core (`ablation.rs`).
-//!   Passing `--json <path>` after `--` (or setting `CHURN_BENCH_JSON`) makes
-//!   every bench append one machine-readable JSON line to `<path>`; the
-//!   `bench_report` binary joins a baseline and an optimized run into a
-//!   comparison file (this is how `BENCH_PR1.json` is produced). Set
-//!   `CHURN_BENCH_FAST=1` for a one-sample smoke run (used by CI).
+//! Every experiment is a registered scenario ([`scenarios::registry`]) run
+//! through the single `exp` binary:
+//! `cargo run --release -p churn-bench --bin exp -- run isolated-nodes`,
+//! etc. `--smoke` shrinks the grid for a fast smoke run; the default is the
+//! full laptop-scale grid each scenario declares in the registry.
+//!
+//! Performance is measured by `perfbench/` at the repository root, which
+//! runs real scenario cells end to end and layer by layer.
 //!
 //! This crate's library part holds the scenario registry and the report
 //! printing the `exp` binary uses.

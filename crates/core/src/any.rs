@@ -1,7 +1,5 @@
 //! Model-kind enumeration and a type-erased model wrapper for sweeps.
 
-use serde::{Deserialize, Serialize};
-
 use churn_graph::{DynamicGraph, NodeId};
 
 use crate::model::DynamicNetwork;
@@ -9,10 +7,8 @@ use crate::{
     ChurnSummary, EdgePolicy, PoissonConfig, PoissonModel, Result, StreamingConfig, StreamingModel,
 };
 
-/// The four dynamic network models of the paper (Table 1's columns × rows),
-/// plus the RAES maintenance protocol layered on top of them by the
-/// `churn-protocol` crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The four dynamic network models of the paper (Table 1's columns × rows).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Streaming churn, no edge regeneration (Definition 3.4).
     Sdg,
@@ -22,18 +18,10 @@ pub enum ModelKind {
     Pdg,
     /// Poisson churn, edge regeneration (Definition 4.14).
     Pdgr,
-    /// The RAES request/accept/reject protocol: bounded in-degree expander
-    /// maintenance under churn. Not one of the paper's four models — it is
-    /// implemented downstream in `churn-protocol` (so [`ModelKind::build`]
-    /// cannot construct it), but it shares this enum so sweeps, stored records
-    /// and reports can mix it with the baselines.
-    Raes,
 }
 
 impl ModelKind {
-    /// The paper's four models, in the paper's presentation order (RAES, being
-    /// a protocol extension rather than a paper model, is deliberately not
-    /// part of this baseline list).
+    /// The paper's four models, in the paper's presentation order.
     pub const ALL: [ModelKind; 4] = [
         ModelKind::Sdg,
         ModelKind::Sdgr,
@@ -42,33 +30,23 @@ impl ModelKind {
     ];
 
     /// Returns `true` for the streaming-churn baseline models.
-    ///
-    /// [`ModelKind::Raes`] returns `false` from both this and
-    /// [`Self::is_poisson`]: the kind does not encode which churn driver a
-    /// `RaesModel` runs (that lives in its `RaesConfig`). Code that branches
-    /// on the churn *process* should use
-    /// [`crate::DynamicNetwork::has_streaming_churn`] — which RAES overrides
-    /// with its configured driver — instead of these kind predicates.
     #[must_use]
     pub fn is_streaming(self) -> bool {
         matches!(self, ModelKind::Sdg | ModelKind::Sdgr)
     }
 
-    /// Returns `true` for the Poisson-churn baseline models (see
-    /// [`Self::is_streaming`] for the RAES caveat).
+    /// Returns `true` for the Poisson-churn baseline models.
     #[must_use]
     pub fn is_poisson(self) -> bool {
         matches!(self, ModelKind::Pdg | ModelKind::Pdgr)
     }
 
-    /// The edge policy of the model. RAES actively repairs severed links
-    /// (through its request/accept protocol rather than instant resampling),
-    /// so it reports [`EdgePolicy::Regenerate`].
+    /// The edge policy of the model.
     #[must_use]
     pub fn edge_policy(self) -> EdgePolicy {
         match self {
             ModelKind::Sdg | ModelKind::Pdg => EdgePolicy::Static,
-            ModelKind::Sdgr | ModelKind::Pdgr | ModelKind::Raes => EdgePolicy::Regenerate,
+            ModelKind::Sdgr | ModelKind::Pdgr => EdgePolicy::Regenerate,
         }
     }
 
@@ -80,7 +58,6 @@ impl ModelKind {
             ModelKind::Sdgr => "SDGR",
             ModelKind::Pdg => "PDG",
             ModelKind::Pdgr => "PDGR",
-            ModelKind::Raes => "RAES",
         }
     }
 
@@ -89,10 +66,7 @@ impl ModelKind {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation errors. [`ModelKind::Raes`] returns
-    /// [`crate::ModelError::ExternalModelKind`]: the protocol model lives in
-    /// the downstream `churn-protocol` crate (build a `RaesModel` there
-    /// instead).
+    /// Propagates configuration validation errors.
     pub fn build(self, n: usize, d: usize, seed: u64) -> Result<AnyModel> {
         self.build_with_victim(n, d, seed, crate::driver::VictimPolicy::Uniform)
     }
@@ -140,10 +114,6 @@ impl ModelKind {
                     .victim_policy(victim);
                 Ok(AnyModel::Poisson(PoissonModel::new(config)?))
             }
-            ModelKind::Raes => Err(crate::ModelError::ExternalModelKind {
-                kind: self.label(),
-                implemented_in: "churn-protocol",
-            }),
         }
     }
 }
@@ -163,9 +133,8 @@ impl std::str::FromStr for ModelKind {
             "SDGR" => Ok(ModelKind::Sdgr),
             "PDG" => Ok(ModelKind::Pdg),
             "PDGR" => Ok(ModelKind::Pdgr),
-            "RAES" => Ok(ModelKind::Raes),
             other => Err(format!(
-                "unknown model kind {other:?} (expected SDG, SDGR, PDG, PDGR or RAES)"
+                "unknown model kind {other:?} (expected SDG, SDGR, PDG or PDGR)"
             )),
         }
     }
@@ -231,8 +200,8 @@ impl DynamicNetwork for AnyModel {
         delegate!(self, m => m.edge_policy())
     }
 
-    fn model_kind(&self) -> ModelKind {
-        AnyModel::kind(self)
+    fn has_streaming_churn(&self) -> bool {
+        delegate!(self, m => m.has_streaming_churn())
     }
 
     fn time(&self) -> f64 {
@@ -280,22 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn raes_kind_is_a_label_only_extension() {
-        assert_eq!("raes".parse::<ModelKind>().unwrap(), ModelKind::Raes);
-        assert_eq!(ModelKind::Raes.label(), "RAES");
-        assert!(!ModelKind::Raes.is_streaming() && !ModelKind::Raes.is_poisson());
-        assert!(ModelKind::Raes.edge_policy().regenerates());
-        assert!(
-            !ModelKind::ALL.contains(&ModelKind::Raes),
-            "ALL stays the paper's four baseline models"
-        );
-        assert!(matches!(
-            ModelKind::Raes.build(100, 8, 0),
-            Err(crate::ModelError::ExternalModelKind { kind: "RAES", .. })
-        ));
-    }
-
-    #[test]
     fn kind_properties_match_table_1() {
         assert!(ModelKind::Sdg.is_streaming() && !ModelKind::Sdg.edge_policy().regenerates());
         assert!(ModelKind::Sdgr.is_streaming() && ModelKind::Sdgr.edge_policy().regenerates());
@@ -317,7 +270,6 @@ mod tests {
                 ModelKind::Pdg | ModelKind::Pdgr => {
                     assert!(model.as_streaming().is_none());
                 }
-                ModelKind::Raes => unreachable!("ALL holds only the paper's four models"),
             }
         }
     }

@@ -1,7 +1,5 @@
 //! Configuration of the four dynamic network models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::driver::VictimPolicy;
 use crate::{ModelError, Result};
 
@@ -17,7 +15,7 @@ pub const MIN_NETWORK_SIZE: usize = 2;
 /// * [`EdgePolicy::Regenerate`] — a node immediately replaces any request whose
 ///   target died by a new uniformly random one (Definitions 3.13 and 4.14),
 ///   keeping its out-degree at `d` forever. This gives the SDGR / PDGR models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EdgePolicy {
     /// No edge regeneration (SDG / PDG).
     #[default]
@@ -57,7 +55,7 @@ impl std::fmt::Display for EdgePolicy {
 /// assert_eq!(config.n, 1_000);
 /// assert!(config.edge_policy.regenerates());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingConfig {
     /// Lifetime of every node in rounds; after warm-up this is also the exact
     /// network size.
@@ -133,7 +131,7 @@ impl StreamingConfig {
 /// assert!((config.mu - 0.001).abs() < 1e-12);
 /// assert_eq!(config.expected_size(), 1_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoissonConfig {
     /// Node arrival rate λ.
     pub lambda: f64,

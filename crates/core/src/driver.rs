@@ -31,7 +31,6 @@ use std::collections::VecDeque;
 use churn_graph::{DynamicGraph, NodeId, RemovedNode, SAMPLE_NONE};
 use churn_stochastic::process::{BirthDeathChain, Jump, JumpKind};
 use churn_stochastic::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::ChurnSummary;
 
@@ -50,7 +49,7 @@ use crate::ChurnSummary;
 /// there and [`VictimPolicy::HighestDegree`] is rejected at model
 /// construction — it would break the exact-lifetime law the streaming
 /// analyses depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VictimPolicy {
     /// Uniformly random alive victim (the paper's oblivious churn).
     #[default]

@@ -48,15 +48,6 @@ pub enum ModelError {
         /// Label of the rejected policy.
         policy: &'static str,
     },
-    /// The requested [`crate::ModelKind`] is implemented outside `churn-core`
-    /// (e.g. the RAES protocol in `churn-protocol`), so this crate cannot
-    /// construct it.
-    ExternalModelKind {
-        /// Label of the kind (e.g. `"RAES"`).
-        kind: &'static str,
-        /// Name of the crate that implements it.
-        implemented_in: &'static str,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -85,13 +76,6 @@ impl fmt::Display for ModelError {
                 f,
                 "victim policy {policy} is not supported by model kind {kind} \
                  (streaming churn kills deterministically oldest-first)"
-            ),
-            ModelError::ExternalModelKind {
-                kind,
-                implemented_in,
-            } => write!(
-                f,
-                "model kind {kind} is implemented in the {implemented_in} crate, not churn-core"
             ),
         }
     }

@@ -1,7 +1,5 @@
 //! Per-step churn summaries.
 
-use serde::{Deserialize, Serialize};
-
 use churn_graph::NodeId;
 
 /// Summary of the churn that happened during one call to
@@ -10,7 +8,7 @@ use churn_graph::NodeId;
 /// The flooding process needs exactly this information: which nodes appeared
 /// (they cannot have been informed before the interval) and which disappeared
 /// (they drop out of the informed set), per Definitions 3.3 and 4.2.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnSummary {
     /// Nodes that joined during the interval and are still alive at its end.
     pub births: Vec<NodeId>,

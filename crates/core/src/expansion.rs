@@ -12,14 +12,13 @@
 //! * [`SizeRange::Custom`] — any explicit range.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use churn_graph::expansion::{ExpansionConfig, ExpansionEstimate, ExpansionEstimator};
 
 use crate::model::DynamicNetwork;
 
 /// Which subset sizes an expansion measurement ranges over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeRange {
     /// Every size from 1 to `n/2` (Theorems 3.15 / 4.16).
     Full,
@@ -71,7 +70,7 @@ impl SizeRange {
 }
 
 /// Result of one expansion measurement on one snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionReport {
     /// The underlying candidate-set estimate.
     pub estimate: ExpansionEstimate,

@@ -29,8 +29,6 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use churn_graph::{DenseHandle, DynamicGraph, NodeId};
 
 use crate::model::DynamicNetwork;
@@ -49,7 +47,7 @@ pub const TAG_BYZANTINE: u8 = 0x1;
 pub const TAG_NO_FORWARD: u8 = 0x2;
 
 /// How to pick the node that starts the broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FloodingSource {
     /// Advance the model until the next node joins and start from it — the
     /// paper's convention ("the flooding process starting at `t0` from the node
@@ -64,7 +62,7 @@ pub enum FloodingSource {
 }
 
 /// Stopping rules and bookkeeping limits for [`run_flooding`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloodingConfig {
     /// Hard cap on the number of flooding rounds simulated.
     pub max_rounds: u64,
@@ -104,7 +102,7 @@ impl FloodingConfig {
 }
 
 /// Per-round observation of a flooding run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundStats {
     /// Rounds elapsed since the start of the flooding (1 for the first step).
     pub round: u64,
@@ -155,7 +153,7 @@ impl RoundStats {
 }
 
 /// How a flooding run ended.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FloodingOutcome {
     /// The broadcast completed: every node alive at the previous observation and
     /// still alive now is informed.
@@ -213,7 +211,7 @@ impl FloodingOutcome {
 }
 
 /// Complete record of one flooding run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloodingRecord {
     /// The source node.
     pub source: NodeId,
@@ -489,7 +487,7 @@ impl InformedSet {
 }
 
 /// Expansion strategy a [`FloodingProcess`] round used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontierDirection {
     /// At or below the size cutoff: plain sequential sweep.
     Sequential,

@@ -10,14 +10,12 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use churn_graph::NodeId;
 
 use crate::model::DynamicNetwork;
 
 /// Result of an isolation measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsolationReport {
     /// Number of alive nodes at measurement time.
     pub alive: usize,

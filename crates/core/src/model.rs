@@ -2,7 +2,7 @@
 
 use churn_graph::{DynamicGraph, NodeId, Snapshot};
 
-use crate::{ChurnSummary, EdgePolicy, ModelKind};
+use crate::{ChurnSummary, EdgePolicy};
 
 /// Common interface of the streaming and Poisson dynamic network models.
 ///
@@ -39,19 +39,11 @@ pub trait DynamicNetwork {
     /// Whether the model regenerates edges on neighbour death.
     fn edge_policy(&self) -> EdgePolicy;
 
-    /// Which of the paper's four models (SDG, SDGR, PDG, PDGR) this instance
-    /// realises.
-    fn model_kind(&self) -> ModelKind;
-
     /// Whether the model's churn process is the *streaming* one (every node
     /// lives exactly `n` rounds), as opposed to memoryless exponential
     /// lifetimes. Analyses whose constants depend on the churn process
-    /// (isolation horizons, large-set expansion bounds) branch on this, not
-    /// on [`Self::model_kind`] — kinds like `ModelKind::Raes` can run either
-    /// churn process, so the kind alone does not determine it.
-    fn has_streaming_churn(&self) -> bool {
-        self.model_kind().is_streaming()
-    }
+    /// (isolation horizons, large-set expansion bounds) branch on this.
+    fn has_streaming_churn(&self) -> bool;
 
     /// Current model time: the round index for streaming models, continuous time
     /// for Poisson models.

@@ -13,15 +13,13 @@
 //! *realized* SDG graph, so experiment E9 can measure the per-phase growth
 //! factors and compare them with the `d/20` prediction.
 
-use serde::{Deserialize, Serialize};
-
 use churn_graph::NodeId;
 
 use crate::model::DynamicNetwork;
 use crate::StreamingModel;
 
 /// Age-class of a node in the onion-skin construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgeClass {
     /// Age below `n/2` (the paper's set `Y`, excluding the very youngest ages 0
     /// and 1 which the construction treats separately).
@@ -33,7 +31,7 @@ pub enum AgeClass {
 }
 
 /// Growth observed in one phase of the onion-skin process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnionSkinPhase {
     /// Phase index (0 is the source's own phase).
     pub phase: usize,
@@ -48,7 +46,7 @@ pub struct OnionSkinPhase {
 }
 
 /// Full trace of one onion-skin run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnionSkinTrace {
     /// The source node (the most recently joined node).
     pub source: NodeId,

@@ -302,8 +302,8 @@ impl DynamicNetwork for PoissonModel {
         self.config.edge_policy
     }
 
-    fn model_kind(&self) -> crate::ModelKind {
-        PoissonModel::model_kind(self)
+    fn has_streaming_churn(&self) -> bool {
+        false
     }
 
     fn time(&self) -> f64 {

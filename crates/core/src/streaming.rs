@@ -220,8 +220,8 @@ impl DynamicNetwork for StreamingModel {
         self.config.edge_policy
     }
 
-    fn model_kind(&self) -> crate::ModelKind {
-        StreamingModel::model_kind(self)
+    fn has_streaming_churn(&self) -> bool {
+        true
     }
 
     fn time(&self) -> f64 {

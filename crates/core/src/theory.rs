@@ -6,8 +6,6 @@
 //! "w.h.p."), so at simulation sizes they predict *shapes and orderings* rather
 //! than exact values; the constants are the paper's.
 
-use serde::{Deserialize, Serialize};
-
 /// The vertex-expansion threshold the paper proves for every positive result
 /// (Lemmas 3.6, 4.11, Theorems 3.15, 4.16): `h_out ≥ 0.1`.
 pub const EXPANSION_THRESHOLD: f64 = 0.1;
@@ -88,7 +86,7 @@ pub fn jump_probability_band() -> (f64, f64) {
 }
 
 /// Which statement of the paper a degree threshold comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Claim {
     /// Lemma 3.6 — large-set expansion of SDG.
     LargeSetExpansionStreaming,

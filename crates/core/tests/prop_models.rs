@@ -198,7 +198,7 @@ proptest! {
                 prop_assert_eq!(concrete.advance_time_unit(), wrapped.advance_time_unit());
             }
             prop_assert_eq!(concrete.alive_ids(), wrapped.alive_ids());
-            prop_assert_eq!(wrapped.model_kind().is_streaming(), true);
+            prop_assert_eq!(wrapped.kind().is_streaming(), true);
         } else {
             let config = PoissonConfig::with_expected_size(n.max(2), d).edge_policy(policy).seed(seed);
             let mut concrete = PoissonModel::new(config.clone()).unwrap();
@@ -207,7 +207,7 @@ proptest! {
                 prop_assert_eq!(concrete.advance_time_unit(), wrapped.advance_time_unit());
             }
             prop_assert_eq!(concrete.alive_ids(), wrapped.alive_ids());
-            prop_assert_eq!(wrapped.model_kind().is_poisson(), true);
+            prop_assert_eq!(wrapped.kind().is_poisson(), true);
         }
     }
 

@@ -17,10 +17,9 @@
 use std::collections::VecDeque;
 
 use churn_graph::hashing::IdHashMap;
-use serde::{Deserialize, Serialize};
 
 /// What happens to a message offered to a full egress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Discard the message (drop-tail; the protocol's retry logic, if any,
     /// has to recover).
@@ -31,7 +30,7 @@ pub enum OverflowPolicy {
 }
 
 /// A per-node bandwidth model shared by every node of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Messages served per unit of simulated time. `f64::INFINITY` models
     /// an infinitely fast link (no queueing at all).

@@ -38,7 +38,6 @@ use churn_graph::hashing::{IdHashMap, IdHashSet};
 use churn_stochastic::rng::{derive_seed, substream_rng, SimRng};
 use churn_stochastic::{GilbertElliott, GilbertElliottState, Poisson};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::LatencyModel;
 
@@ -50,7 +49,7 @@ pub const FAULT_STREAM: u64 = 0xFA17_5EED;
 const PARTITION_SALT: u64 = 0x9A27_1710;
 
 /// Per-link message-loss model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// No loss; consumes no randomness.
     None,
@@ -67,7 +66,7 @@ pub enum LossModel {
 /// into `blocks` groups (deterministic id hash); at `heal` the blocks merge
 /// back. Enforced at delivery time, so messages already in flight when the
 /// partition starts are cut too.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     /// Partition onset (inclusive).
     pub start: f64,
@@ -83,7 +82,7 @@ pub struct PartitionWindow {
 ///
 /// The rate is per node per unit time and at most 1, so a tick draws on
 /// average at most one crash per alive node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashRestart {
     /// Per-node crash intensity per unit of simulated time, in `[0, 1]`.
     pub rate: f64,
@@ -92,7 +91,7 @@ pub struct CrashRestart {
 }
 
 /// A complete, seeded fault schedule for one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Per-link loss model.
     pub loss: LossModel,

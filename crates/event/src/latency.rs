@@ -2,14 +2,13 @@
 
 use churn_stochastic::{Exponential, LogNormal};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A pluggable distribution of per-message network latency.
 ///
 /// Every message sampled through the same model draws independently; the
 /// draw order is fixed by the total event order, so latency sampling never
 /// breaks run determinism. All variants produce finite, non-negative delays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long. `Fixed(0.0)` is the
     /// zero-latency limit the sync-equivalence tests use.
@@ -38,7 +37,12 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Checks the parameters: all must be finite, delays non-negative,
-    /// `high ≥ low`, `mean > 0`, `median > 0`, `sigma > 0`.
+    /// `high ≥ low`, `median > 0`, `sigma > 0`, and `mean > 0` with a finite
+    /// rate `1/mean` (a subnormal mean such as `1e-310` overflows it). The
+    /// random models are checked through the constructors [`sample`] calls,
+    /// so a model that validates never panics there.
+    ///
+    /// [`sample`]: LatencyModel::sample
     ///
     /// # Errors
     ///
@@ -49,9 +53,9 @@ impl LatencyModel {
             LatencyModel::Uniform { low, high } => {
                 low.is_finite() && high.is_finite() && low >= 0.0 && high >= low
             }
-            LatencyModel::Exponential { mean } => mean.is_finite() && mean > 0.0,
+            LatencyModel::Exponential { mean } => Exponential::new(1.0 / mean).is_some(),
             LatencyModel::LogNormal { median, sigma } => {
-                median.is_finite() && median > 0.0 && sigma.is_finite() && sigma > 0.0
+                LogNormal::new(median.ln(), sigma).is_some()
             }
         };
         if ok {
@@ -85,10 +89,10 @@ impl LatencyModel {
                 }
             }
             LatencyModel::Exponential { mean } => Exponential::new(1.0 / mean)
-                .expect("validated: mean is finite and positive")
+                .expect("validated: 1/mean is finite and positive")
                 .sample(rng),
             LatencyModel::LogNormal { median, sigma } => LogNormal::new(median.ln(), sigma)
-                .expect("validated: median and sigma are finite and positive")
+                .expect("validated: ln(median) and sigma are finite, sigma positive")
                 .sample(rng),
         }
     }
@@ -123,6 +127,10 @@ mod tests {
         .validate()
         .is_err());
         assert!(LatencyModel::Exponential { mean: 0.0 }.validate().is_err());
+        // Finite and positive, but 1/mean overflows to infinity.
+        assert!(LatencyModel::Exponential { mean: 1e-310 }
+            .validate()
+            .is_err());
         assert!(LatencyModel::LogNormal {
             median: 1.0,
             sigma: 0.0

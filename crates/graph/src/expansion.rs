@@ -24,7 +24,6 @@ use std::collections::HashSet;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::traversal::connected_components;
 use crate::Snapshot;
@@ -79,7 +78,7 @@ pub fn expansion_of(snapshot: &Snapshot, set: &[usize]) -> Option<f64> {
 }
 
 /// Which candidate family produced an expansion witness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CandidateFamily {
     /// A whole connected component of size at most `n/2` (ratio is always 0).
     Component,
@@ -107,7 +106,7 @@ impl std::fmt::Display for CandidateFamily {
 }
 
 /// The worst (smallest-ratio) candidate set found by an expansion search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionWitness {
     /// Size `|S|` of the witness set.
     pub size: usize,
@@ -120,7 +119,7 @@ pub struct ExpansionWitness {
 }
 
 /// Result of an [`ExpansionEstimator`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionEstimate {
     /// The worst candidate found, or `None` when no candidate fell inside the
     /// requested size range (e.g. an empty graph).
@@ -139,7 +138,7 @@ impl ExpansionEstimate {
 }
 
 /// Exact isoperimetric result for small graphs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExactExpansion {
     /// `h_out(G)`.
     pub value: f64,
@@ -182,7 +181,7 @@ pub fn exact_isoperimetric(snapshot: &Snapshot) -> Option<ExactExpansion> {
 }
 
 /// Configuration of the candidate-set expansion estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionConfig {
     /// Number of BFS-ball source vertices sampled.
     pub bfs_sources: usize,

@@ -23,8 +23,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hashing::IdHashMap;
 use crate::{GraphError, NodeId, Result};
 
@@ -61,7 +59,7 @@ use crate::{GraphError, NodeId, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DenseHandle {
     /// The slab index of the cell.
     pub index: u32,
@@ -137,7 +135,7 @@ impl GraphDelta {
 /// out-edge position of one node; the pair `(owner, slot)` stays stable for the
 /// owner's entire lifetime even as the slot gets re-pointed by edge
 /// regeneration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeSlot {
     /// Node that owns (requested) the edge.
     pub owner: NodeId,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node of a [`crate::DynamicGraph`].
 ///
 /// Identifiers are plain `u64` values wrapped in a newtype so they cannot be
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.raw(), 42);
 /// assert_eq!(format!("{id}"), "v42");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u64);
 
 impl NodeId {
@@ -78,7 +76,7 @@ impl From<NodeId> for u64 {
 /// assert_ne!(a, b);
 /// assert_eq!(alloc.peek(), NodeId::new(2));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeIdAllocator {
     next: u64,
 }

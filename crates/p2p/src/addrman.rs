@@ -7,7 +7,6 @@
 //! among all nodes of the network" and is what justifies the PDGR abstraction.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use churn_core::NodeId;
 use churn_graph::hashing::IdHashMap;
@@ -22,7 +21,7 @@ use churn_graph::hashing::IdHashMap;
 /// position scan made [`AddressManager::remove`] O(n) with SipHash on top,
 /// which is the overlay's hottest maintenance call (every failed dial to a
 /// dead peer goes through it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressManager {
     capacity: usize,
     addresses: Vec<NodeId>,

@@ -1,7 +1,5 @@
 //! Configuration of the peer-to-peer overlay simulation.
 
-use serde::{Deserialize, Serialize};
-
 use churn_core::{ModelError, Result};
 
 /// Configuration of a [`crate::P2pNetwork`].
@@ -9,7 +7,7 @@ use churn_core::{ModelError, Result};
 /// Defaults follow the Bitcoin Core values cited by the paper: 8 outbound
 /// connections, at most 125 inbound connections, a large address manager, and
 /// moderate address gossip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2pConfig {
     /// Expected number of simultaneously online peers (the `n = λ/µ` of the
     /// underlying Poisson churn with λ = 1).

@@ -11,8 +11,6 @@
 //! bitset and the overlay's own maintenance loops), so no relay hot path
 //! resolves identifiers through a hash table.
 
-use serde::{Deserialize, Serialize};
-
 use churn_core::flooding::{
     run_flooding, FloodingConfig, FloodingOutcome, FloodingRecord, FloodingSource,
 };
@@ -21,7 +19,7 @@ use churn_core::{DynamicNetwork, NodeId};
 use crate::P2pNetwork;
 
 /// Summary of one block propagation over the overlay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropagationReport {
     /// The peer that announced the block.
     pub origin: NodeId,

@@ -1,7 +1,5 @@
 //! Overlay health metrics.
 
-use serde::{Deserialize, Serialize};
-
 use churn_core::DynamicNetwork;
 use churn_graph::traversal::connected_components;
 use churn_graph::Snapshot;
@@ -10,7 +8,7 @@ use churn_stochastic::OnlineStats;
 use crate::P2pNetwork;
 
 /// A snapshot of the overlay's structural health.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlayHealth {
     /// Number of online peers.
     pub peers: usize,

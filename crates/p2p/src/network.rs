@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost};
-use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, NodeId, Result};
+use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, NodeId, Result};
 use churn_graph::{DynamicGraph, NodeIdAllocator};
 use churn_stochastic::process::{BirthDeathChain, Jump};
 use churn_stochastic::rng::{seeded_rng, SimRng};
@@ -362,10 +362,10 @@ impl DynamicNetwork for P2pNetwork {
         EdgePolicy::Regenerate
     }
 
-    fn model_kind(&self) -> ModelKind {
+    fn has_streaming_churn(&self) -> bool {
         // The overlay is the realistic counterpart of the Poisson model with
         // edge regeneration; analyses treat it as such.
-        ModelKind::Pdgr
+        false
     }
 
     fn time(&self) -> f64 {
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn dynamic_network_impl_is_consistent() {
         let mut net = overlay(80, 7);
-        assert_eq!(net.model_kind(), ModelKind::Pdgr);
+        assert!(!net.has_streaming_churn());
         assert_eq!(net.degree_parameter(), 8);
         assert_eq!(net.expected_size(), 80);
         assert!(net.edge_policy().regenerates());

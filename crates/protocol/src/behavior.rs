@@ -19,13 +19,11 @@
 //! [`churn_core::flooding::TAG_NO_FORWARD`]), the high nibble the behavior
 //! discriminant.
 
-use serde::{Deserialize, Serialize};
-
 use churn_core::flooding::{TAG_BYZANTINE, TAG_NO_FORWARD};
 
 /// The protocol behavior of one alive node, assigned at spawn and immutable
 /// for its lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Behavior {
     /// Follows the protocol (and forwards floods) exactly.
     #[default]
@@ -67,7 +65,7 @@ impl Behavior {
 }
 
 /// Which Byzantine behavior an adversary model assigns to its nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// Every corrupted node runs [`Behavior::RefuseAll`].
     RefuseAll,
@@ -125,7 +123,7 @@ impl std::fmt::Display for AttackKind {
 /// draws from the model's dedicated adversary substream, never from the main
 /// simulation stream — so the honest trajectory at fraction 0 is bit-for-bit
 /// the trajectory of a model with no adversary at all.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum AdversaryModel {
     /// No adversary: no draws, no tags, the unchanged protocol.
     #[default]

@@ -1,7 +1,5 @@
 //! Configuration of the RAES maintenance protocol.
 
-use serde::{Deserialize, Serialize};
-
 use churn_core::{ModelError, Result, VictimPolicy};
 
 use crate::behavior::AdversaryModel;
@@ -17,7 +15,7 @@ use crate::behavior::AdversaryModel;
 ///   cap; the evicted requester re-enters the pending queue. This trades churn
 ///   amplification for zero rejections, the way some DHT neighbour tables
 ///   prefer fresh links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SaturationPolicy {
     /// Reject the request; the owner retries next round (classic RAES).
     #[default]
@@ -45,7 +43,7 @@ impl std::fmt::Display for SaturationPolicy {
 
 /// Which churn process drives node arrivals and departures underneath the
 /// protocol — the same two options as the paper's models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChurnDriver {
     /// Streaming churn (Definition 3.2): one join and one leave per round,
     /// every node lives exactly `n` rounds.
@@ -88,7 +86,7 @@ impl std::fmt::Display for ChurnDriver {
 /// assert_eq!(config.in_degree_cap(), 16);
 /// assert!(config.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaesConfig {
     /// Expected network size (streaming: exact after warm-up; Poisson: λ/µ).
     pub n: usize,

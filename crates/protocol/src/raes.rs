@@ -5,10 +5,9 @@ use std::collections::VecDeque;
 use churn_graph::{DenseHandle, DynamicGraph, NodeId, NodeIdAllocator, RemovedNode};
 use churn_stochastic::process::{BirthDeathChain, Jump};
 use churn_stochastic::rng::{derive_seed, seeded_rng, SimRng};
-use serde::{Deserialize, Serialize};
 
 use churn_core::driver::{self, ChurnHost, JumpClock, PoissonChurnHost, VictimPolicy};
-use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, ModelKind, Result};
+use churn_core::{ChurnSummary, DynamicNetwork, EdgePolicy, Result};
 
 use crate::{AdversaryModel, Behavior, ChurnDriver, RaesConfig, SaturationPolicy};
 
@@ -24,7 +23,7 @@ const ADVERSARY_STREAM: u64 = 0xB12A_7A6E;
 /// request whose owner has meanwhile died (or whose slab cell was recycled by
 /// a newborn) is detected in O(1) during the repair sweep, with no identifier
 /// lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingRequest {
     /// The node that owns the unfilled out-slot.
     pub owner: DenseHandle,
@@ -36,7 +35,7 @@ pub struct PendingRequest {
 }
 
 /// Protocol activity of one round (one message-delay unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RaesRoundStats {
     /// The round these stats describe.
     pub round: u64,
@@ -85,7 +84,7 @@ pub struct RaesRoundStats {
 }
 
 /// Cumulative protocol counters since construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RaesStats {
     /// Protocol rounds executed.
     pub rounds: u64,
@@ -415,10 +414,10 @@ impl RaesModel {
     /// internal buffer (pending queue, target batch, removal scratch) is
     /// recycled, so steady-state rounds under the *streaming* driver never
     /// touch the heap — `crates/protocol/tests/alloc_free.rs` pins this with
-    /// a counting allocator, and the `raes_step` bench drives this entry
-    /// point. (Poisson populations fluctuate by ~√n; generous headroom makes
-    /// steady-state container regrowth rare there, but a sufficiently large
-    /// excursion can still allocate.)
+    /// a counting allocator, and [`DynamicNetwork::warm_up`] drives this
+    /// entry point. (Poisson populations fluctuate by ~√n; generous headroom
+    /// makes steady-state container regrowth rare there, but a sufficiently
+    /// large excursion can still allocate.)
     pub fn step_round_into(&mut self, summary: &mut ChurnSummary) {
         let _round = tracing::span("raes-round");
         summary.clear();
@@ -917,13 +916,8 @@ impl DynamicNetwork for RaesModel {
         EdgePolicy::Regenerate
     }
 
-    fn model_kind(&self) -> ModelKind {
-        ModelKind::Raes
-    }
-
-    /// `ModelKind::Raes` does not encode the churn driver, so this reports
-    /// the configured one — analyses branching on the churn process (e.g.
-    /// isolation horizons) then pick the right constants automatically.
+    /// Reports the configured churn driver, so analyses branching on the
+    /// churn process (e.g. isolation horizons) pick the right constants.
     fn has_streaming_churn(&self) -> bool {
         self.config.churn == ChurnDriver::Streaming
     }
@@ -1264,9 +1258,8 @@ mod tests {
 
     #[test]
     fn churn_process_analyses_pick_the_configured_driver() {
-        // ModelKind::Raes is neither is_streaming nor is_poisson; the
-        // churn-process hook must report the configured driver so analyses
-        // like the isolation horizon use the right constants.
+        // The churn-process hook must report the configured driver so
+        // analyses like the isolation horizon use the right constants.
         let streaming = model(30, 3, 0);
         assert!(streaming.has_streaming_churn());
         assert_eq!(
@@ -1284,7 +1277,6 @@ mod tests {
     #[test]
     fn dynamic_network_surface_is_consistent() {
         let mut m = model(30, 3, 6);
-        assert_eq!(m.model_kind(), ModelKind::Raes);
         assert_eq!(m.degree_parameter(), 3);
         assert_eq!(m.expected_size(), 30);
         assert!(m.edge_policy().regenerates());

@@ -45,10 +45,10 @@
 #![warn(missing_debug_implementations)]
 
 mod metrics;
+mod minijson;
 mod observer;
 mod table;
 
-pub mod minijson;
 pub mod scenario;
 
 pub use metrics::Aggregate;

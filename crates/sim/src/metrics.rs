@@ -1,11 +1,9 @@
 //! Aggregation of trial results into summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 use churn_stochastic::OnlineStats;
 
 /// Summary statistics of a set of trial values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aggregate {
     /// Number of values aggregated.
     pub count: u64,

@@ -1,9 +1,7 @@
 //! A minimal, dependency-free JSON reader.
 //!
-//! Sufficient for the files this workspace writes (scenario records from
-//! [`crate::scenario`], bench JSON-lines from the vendored criterion
-//! harness) and for standards-compliant external producers of the same
-//! shapes: full escape handling including UTF-16 surrogate pairs, and
+//! Sufficient for the scenario records [`crate::scenario`] writes and for
+//! standards-compliant external producers of the same shapes: full escape handling including UTF-16 surrogate pairs, and
 //! numbers kept as raw text so 64-bit integers round-trip exactly.
 
 use std::collections::BTreeMap;
@@ -47,14 +45,6 @@ impl Value {
     pub fn as_string(&self) -> Option<String> {
         match self {
             Value::String(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    /// A borrowed view of the string, when this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
             _ => None,
         }
     }
@@ -311,7 +301,10 @@ mod tests {
         // Producers that escape non-ASCII (e.g. Python's json.dumps) write
         // astral-plane characters as UTF-16 surrogate pairs.
         let value = parse(r#"{"s": "\ud83d\ude00 demo"}"#).unwrap();
-        assert_eq!(value.get("s").unwrap().as_str(), Some("\u{1F600} demo"));
+        assert_eq!(
+            value.get("s").unwrap().as_string().as_deref(),
+            Some("\u{1F600} demo")
+        );
         // An unpaired surrogate is an error, not silent replacement.
         assert!(parse(r#"{"s": "\ud83d oops"}"#).is_err());
     }

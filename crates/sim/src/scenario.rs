@@ -115,7 +115,7 @@ pub enum NetSpec {
 
 impl NetSpec {
     /// The default RAES network (streaming churn, reject-and-retry, `c` =
-    /// 1.5, one attempt) — seed-compatible with `ModelKind::Raes` sweeps.
+    /// 1.5, one attempt).
     #[must_use]
     pub fn raes_default() -> Self {
         NetSpec::Raes(RaesNet::default())
@@ -175,7 +175,6 @@ impl NetSpec {
                 ModelKind::Sdgr => 2,
                 ModelKind::Pdg => 3,
                 ModelKind::Pdgr => 4,
-                ModelKind::Raes => 5,
             },
             NetSpec::Raes(spec) => {
                 let mut tag = 5;
@@ -977,14 +976,6 @@ impl Scenario {
                         self.name,
                         net.label(),
                         self.measurement
-                    ));
-                }
-                if let NetSpec::Baseline(ModelKind::Raes) = net {
-                    return Err(format!(
-                        "scenario {:?}: use NetSpec::Raes(..) instead of \
-                         Baseline(ModelKind::Raes) (the kind alone does not \
-                         carry the protocol knobs)",
-                        self.name
                     ));
                 }
                 for grid in [&self.full, &self.smoke] {
@@ -2271,7 +2262,7 @@ mod tests {
             VictimPolicy::OldestFirst,
             VictimPolicy::HighestDegree,
         ];
-        let table: [(NetSpec, [u64; 3]); 6] = [
+        let table: [(NetSpec, [u64; 3]); 5] = [
             (
                 NetSpec::Baseline(ModelKind::Sdg),
                 [
@@ -2302,14 +2293,6 @@ mod tests {
                     5911416491678202302,
                     13430087722000577295,
                     11782201207809271771,
-                ],
-            ),
-            (
-                NetSpec::Baseline(ModelKind::Raes),
-                [
-                    10041283654596338740,
-                    8616825705616495778,
-                    18244775982799239348,
                 ],
             ),
             (
@@ -2358,7 +2341,10 @@ mod tests {
         let mut json = String::new();
         escape_json(text, &mut json);
         assert!(!json.contains('\n'));
-        assert_eq!(minijson::parse(&json).unwrap().as_str(), Some(text));
+        assert_eq!(
+            minijson::parse(&json).unwrap().as_string().as_deref(),
+            Some(text)
+        );
         assert_eq!(format_value(11.0), "11.0");
         assert_eq!(format_value(0.017), "0.017");
         assert_eq!(format_value(f64::NAN), "null");
@@ -2386,6 +2372,13 @@ mod tests {
         });
         spec.validate()
             .expect("one crash per node per unit time is allowed");
+        // The downtime draws through the same latency constructors.
+        spec.crash = Some(CrashRestart {
+            rate: 1.0,
+            downtime: LatencyModel::Exponential { mean: 1e-310 },
+        });
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("invalid latency model"), "{err}");
     }
 
     #[test]
@@ -2551,18 +2544,6 @@ mod tests {
         let bad = Scenario::new("x", "x", Measurement::OnionSkin)
             .nets([NetSpec::Baseline(ModelKind::Pdg)])
             .full_grid(Grid::new([32], [2], 1));
-        assert!(bad.validate().is_err());
-        // Baseline(Raes) is rejected in favour of NetSpec::Raes.
-        let bad = Scenario::new(
-            "x",
-            "x",
-            Measurement::Flooding(FloodingSpec {
-                budget: RoundBudget::EngineDefault,
-                record_isolation: false,
-            }),
-        )
-        .nets([NetSpec::Baseline(ModelKind::Raes)])
-        .full_grid(Grid::new([32], [2], 1));
         assert!(bad.validate().is_err());
         // The tiny scenario itself is fine.
         assert!(tiny_scenario().validate().is_ok());
@@ -3307,5 +3288,19 @@ mod tests {
         .nets([NetSpec::Baseline(ModelKind::Sdgr)])
         .full_grid(Grid::new([32], [2], 1));
         assert!(bad_latency.validate().is_err());
+        // A subnormal exponential mean passed `mean > 0` but overflowed the
+        // rate `1/mean` and panicked in the first latency draw of a cell.
+        let subnormal_mean = Scenario::new(
+            "bad4",
+            "t",
+            Measurement::AsyncRaes(AsyncRaesSpec {
+                latency: LatencyModel::Exponential { mean: 1e-310 },
+                ..spec
+            }),
+        )
+        .nets([NetSpec::raes_default()])
+        .full_grid(Grid::new([32], [2], 1));
+        let err = subnormal_mean.validate().unwrap_err();
+        assert!(err.contains("invalid latency model"), "{err}");
     }
 }

@@ -11,7 +11,7 @@ use churn_core::flooding::{
     run_flooding, run_flooding_parallel_observed, FloodingConfig, FloodingRecord, FloodingSource,
 };
 use churn_core::onion_skin::run_onion_skin;
-use churn_core::{theory, ChurnSummary, DynamicNetwork, ModelKind};
+use churn_core::{theory, ChurnSummary, DynamicNetwork};
 use churn_graph::expansion::ExpansionConfig;
 use churn_graph::generators::d_out_random_graph;
 use churn_graph::traversal::{connected_components, static_flooding_time};
@@ -85,10 +85,6 @@ impl DynamicNetwork for AnyNet {
 
     fn edge_policy(&self) -> churn_core::EdgePolicy {
         delegate!(self, m => m.edge_policy())
-    }
-
-    fn model_kind(&self) -> ModelKind {
-        delegate!(self, m => m.model_kind())
     }
 
     fn has_streaming_churn(&self) -> bool {

@@ -1,7 +1,5 @@
 //! Result tables: plain-text and Markdown rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple result table with a title, column headers and string cells.
 ///
 /// The experiment reports build their output exclusively through this type so
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let markdown = table.to_markdown();
 /// assert!(markdown.contains("| SDGR | 1024 | 12.3 ± 0.4 |"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     columns: Vec<String>,

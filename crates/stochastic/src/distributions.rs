@@ -9,7 +9,6 @@
 //! has no further dependencies and the sampling algorithms are auditable.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential distribution with rate `lambda` (mean `1 / lambda`).
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(sample > 0.0);
 /// assert_eq!(lifetime.mean(), 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     rate: f64,
 }
@@ -93,7 +92,7 @@ impl Exponential {
 /// assert!(latency.sample(&mut rng) > 0.0);
 /// assert_eq!(latency.median(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -145,7 +144,7 @@ impl LogNormal {
 /// Small means use Knuth's product-of-uniforms method; large means (> 30) use
 /// the normal approximation with continuity correction, which is accurate to
 /// well below the statistical noise of any experiment in this workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     mean: f64,
 }
@@ -212,7 +211,7 @@ impl Poisson {
 
 /// Geometric distribution on `{1, 2, 3, …}`: the number of Bernoulli(`p`) trials
 /// up to and including the first success.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
 }
@@ -268,7 +267,7 @@ impl Geometric {
 /// let _lost: bool = chan.step(&mut state, &mut rng);
 /// assert!((chan.stationary_loss() - 0.0909).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     p_gb: f64,
     p_bg: f64,

@@ -2,12 +2,11 @@
 //! 4.1 and 4.5, Lemma 4.6).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::distributions::Exponential;
 
 /// The kind of transition taken by the birth–death jump chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JumpKind {
     /// A new node joins the network.
     Birth,
@@ -18,7 +17,7 @@ pub enum JumpKind {
 }
 
 /// One transition of the jump chain: how long the chain waited and what happened.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jump {
     /// Exponential waiting time until this event, with rate `N·µ + λ`
     /// (Lemma 4.6).
@@ -46,7 +45,7 @@ pub struct Jump {
 /// // With zero nodes alive only a birth can happen.
 /// assert_eq!(jump.kind, JumpKind::Birth);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BirthDeathChain {
     lambda: f64,
     mu: f64,

@@ -1,8 +1,6 @@
 //! Descriptive statistics, standard errors, quantiles, divergences and
 //! least-squares fits used to analyse experiment output.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford online accumulator of mean and variance.
 ///
 /// Numerically stable, O(1) memory, suitable for streaming millions of samples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((stats.mean() - 5.0).abs() < 1e-12);
 /// assert!((stats.variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -227,7 +225,7 @@ pub fn entropy(p: &[f64]) -> Option<f64> {
 }
 
 /// Result of an ordinary least-squares fit `y ≈ slope · x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,
