@@ -13,9 +13,11 @@
 //!   loop's values.
 //! * `raes-flooding` (E11) and `flooding-scaling` (E6): every metric the
 //!   legacy binary measured is equal to the engine's value **bit for bit**
-//!   (`f64::to_bits`; the engine additionally records the informed-overlap
-//!   metrics the legacy binaries did not have, so whole-file byte equality
-//!   is checked over the shared prefix of each record's metric list).
+//!   (`f64::to_bits`; E11's `informed_alive_overlap` must equal the legacy
+//!   flood's final fraction. The engine additionally records the
+//!   uninformed-population metrics the legacy binaries did not have, so
+//!   whole-file byte equality is checked over the shared prefix of each
+//!   record's metric list).
 //!
 //! An engine trajectory can only match the legacy loop's if the per-cell
 //! seeds, model construction and measurement order are all unchanged — which
@@ -232,6 +234,9 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
             ("died_out", f64::from(flood.outcome.is_died_out())),
             ("final_fraction", flood.final_fraction()),
             ("peak_informed", flood.peak_informed() as f64),
+            // The informed-alive overlap is the flood's last informed
+            // fraction: the same count over the same alive population.
+            ("informed_alive_overlap", flood.final_fraction()),
         ];
         expected.extend(protocol);
         for (metric, value) in expected {
@@ -246,8 +251,6 @@ fn raes_flooding_metrics_match_the_legacy_loop_bit_for_bit() {
                 record.trial
             );
         }
-        // The engine additionally reports the informed-overlap pipeline.
-        assert!(record.metric("informed_alive_overlap").is_some());
     }
     fs::remove_dir_all(path.parent().unwrap()).ok();
 }

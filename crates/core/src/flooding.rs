@@ -692,6 +692,14 @@ impl FloodingProcess {
         self.informed.len()
     }
 
+    /// Whether the node in slab cell `idx` is informed. The set is
+    /// revalidated after every round's churn, so this is exact until the
+    /// model churns outside the process.
+    #[must_use]
+    pub fn is_informed(&self, idx: u32) -> bool {
+        self.informed.contains(idx)
+    }
+
     /// Dense slab indices of the currently informed entries, in entry order.
     /// Valid until the underlying graph churns; observers (e.g. the
     /// informed-overlap tracker in `churn-observe`) consume these instead of
@@ -1006,70 +1014,80 @@ impl FloodingProcess {
             honest_complete,
         }
     }
-}
 
-/// The run-to-termination loop behind [`run_flooding`] and
-/// [`run_flooding_parallel_observed`]: steps `process` until `config`'s stop
-/// rule fires, calling `after_step` after every round.
-fn run_flooding_loop<M: DynamicNetwork + ?Sized>(
-    model: &mut M,
-    config: &FloodingConfig,
-    process: &mut FloodingProcess,
-    mut after_step: impl FnMut(&mut M, &FloodingProcess),
-) -> FloodingRecord {
-    let d = model.degree_parameter();
-    let mut rounds = Vec::new();
-    let mut peak_informed = 1usize;
+    /// Steps the process until `config`'s stop rule fires and returns the
+    /// record of those rounds. [`run_flooding`] is [`Self::start`] followed by
+    /// this; a caller that keeps the process can read its final informed set
+    /// afterwards ([`Self::is_informed`]).
+    pub fn run<M: DynamicNetwork + ?Sized>(
+        &mut self,
+        model: &mut M,
+        config: &FloodingConfig,
+    ) -> FloodingRecord {
+        self.run_with(model, config, |_, _| {})
+    }
 
-    let outcome = loop {
-        let stats = {
-            let _sweep = tracing::span("sweep");
-            let stats = process.step(model);
-            after_step(model, process);
-            stats
-        };
-        let fraction = stats.informed_fraction();
-        let informed = stats.informed;
-        let round = stats.round;
-        let complete = stats.complete;
-        peak_informed = peak_informed.max(informed);
-        rounds.push(stats);
+    /// [`Self::run`], calling `after_step` after every round.
+    fn run_with<M: DynamicNetwork + ?Sized>(
+        &mut self,
+        model: &mut M,
+        config: &FloodingConfig,
+        mut after_step: impl FnMut(&mut M, &FloodingProcess),
+    ) -> FloodingRecord {
+        let d = model.degree_parameter();
+        let mut rounds = Vec::new();
+        let mut peak_informed = 1usize;
 
-        if config.stop_when_complete && complete {
-            break FloodingOutcome::Completed { rounds: round };
-        }
-        if let Some(target) = config.target_fraction {
-            if fraction >= target {
-                break FloodingOutcome::ReachedTarget {
-                    rounds: round,
-                    fraction,
-                };
-            }
-        }
-        if informed == 0 {
-            break FloodingOutcome::DiedOut {
-                rounds: round,
-                peak_informed,
+        let outcome = loop {
+            let stats = {
+                let _sweep = tracing::span("sweep");
+                let stats = self.step(model);
+                after_step(model, self);
+                stats
             };
-        }
-        if round >= config.max_rounds {
-            // Distinguish "never took off" (Theorem 3.7's failure mode) from
-            // "still spreading when the cap was hit".
-            if peak_informed <= d + 1 {
+            let fraction = stats.informed_fraction();
+            let informed = stats.informed;
+            let round = stats.round;
+            let complete = stats.complete;
+            peak_informed = peak_informed.max(informed);
+            rounds.push(stats);
+
+            if config.stop_when_complete && complete {
+                break FloodingOutcome::Completed { rounds: round };
+            }
+            if let Some(target) = config.target_fraction {
+                if fraction >= target {
+                    break FloodingOutcome::ReachedTarget {
+                        rounds: round,
+                        fraction,
+                    };
+                }
+            }
+            if informed == 0 {
                 break FloodingOutcome::DiedOut {
                     rounds: round,
                     peak_informed,
                 };
             }
-            break FloodingOutcome::RoundLimit { fraction };
-        }
-    };
+            if round >= config.max_rounds {
+                // Distinguish "never took off" (Theorem 3.7's failure mode) from
+                // "still spreading when the cap was hit".
+                if peak_informed <= d + 1 {
+                    break FloodingOutcome::DiedOut {
+                        rounds: round,
+                        peak_informed,
+                    };
+                }
+                break FloodingOutcome::RoundLimit { fraction };
+            }
+        };
 
-    FloodingRecord {
-        source: process.source(),
-        start_time: process.start_time(),
-        rounds,
-        outcome,
+        FloodingRecord {
+            source: self.source,
+            start_time: self.start_time,
+            rounds,
+            outcome,
+        }
     }
 }
 
@@ -1100,8 +1118,7 @@ pub fn run_flooding<M: DynamicNetwork + ?Sized>(
     config: &FloodingConfig,
     threads: usize,
 ) -> FloodingRecord {
-    let mut process = FloodingProcess::start(model, source, threads);
-    run_flooding_loop(model, config, &mut process, |_, _| {})
+    FloodingProcess::start(model, source, threads).run(model, config)
 }
 
 /// Like [`run_flooding`], with the graph's [`GraphDelta`] change
@@ -1115,7 +1132,11 @@ pub fn run_flooding<M: DynamicNetwork + ?Sized>(
 /// themselves. Recording is disabled again on return.
 ///
 /// The flooding trajectory is identical to [`run_flooding`]'s —
-/// observation reads, never steers.
+/// observation reads, never steers. The scenario engine no longer calls
+/// this: it reads the finished process's own informed set
+/// ([`FloodingProcess::is_informed`]) instead of a second tracker. The
+/// remaining caller outside tests is the per-layer replay of the
+/// `perfbench` harness.
 ///
 /// [`GraphDelta`]: churn_graph::GraphDelta
 pub fn run_flooding_parallel_observed<M, F>(
@@ -1139,7 +1160,7 @@ where
     // waits for a join); hand that window to the observer before round 1.
     model.graph_mut().take_delta_into(&mut delta);
     observer(&*model, &delta, &process);
-    let record = run_flooding_loop(model, config, &mut process, |m, p| {
+    let record = process.run_with(model, config, |m, p| {
         m.graph_mut().take_delta_into(&mut delta);
         observer(&*m, &delta, p);
     });
@@ -1609,8 +1630,30 @@ mod tests {
         );
         let mut sharded =
             FloodingProcess::start(&mut b, FloodingSource::NextToJoin, 4).with_sequential_cutoff(0);
-        let par = run_flooding_loop(&mut b, &FloodingConfig::default(), &mut sharded, |_, _| {});
+        let par = sharded.run(&mut b, &FloodingConfig::default());
         assert_eq!(seq, par, "records must be identical sweep-for-sweep");
+    }
+
+    #[test]
+    fn finished_process_reads_its_final_informed_set() {
+        // Cut the run short so part of the population stays uninformed.
+        let mut model = sdg(400, 3, 11);
+        let mut process = FloodingProcess::start(&mut model, FloodingSource::NextToJoin, 1);
+        let record = process.run(&mut model, &FloodingConfig::with_max_rounds(3));
+        let graph = model.graph();
+        let informed: HashSet<NodeId> = process.informed();
+        let marked = graph
+            .member_indices()
+            .iter()
+            .filter(|&&idx| process.is_informed(idx))
+            .count();
+        assert_eq!(marked, record.rounds.last().unwrap().informed);
+        assert_eq!(marked, informed.len());
+        for &idx in graph.member_indices() {
+            let id = graph.id_at(idx).unwrap();
+            assert_eq!(process.is_informed(idx), informed.contains(&id));
+        }
+        assert!(marked < graph.len(), "three rounds cannot inform 400 nodes");
     }
 
     #[test]

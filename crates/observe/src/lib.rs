@@ -28,24 +28,28 @@
 //! * [`LiveMetrics`] — degree and in-request histograms, isolated and
 //!   low-degree node counts, RAES in-degree-cap occupancy, maintained per
 //!   dirty cell.
-//! * [`BehaviorCensus`] — the alive population per behavior tag class
-//!   (honest vs. each Byzantine behavior of `churn-protocol`'s adversary
-//!   layer), maintained per dirty cell; gives the realized corrupted
-//!   fraction of a hardened scenario run at O(churn) cost.
 //! * [`LifetimeIsolation`] — the Lemma 3.5 / 4.10 census: tracks which of
 //!   the currently isolated nodes stay isolated until they die, at O(churn)
 //!   per round instead of O(candidates).
 //! * [`InformedOverlap`] — the alive-informed overlap of a flooding run,
 //!   fed by `FloodingProcess::newly_informed_dense` (the observer of
 //!   `run_flooding_parallel_observed` receives the process) and the delta's
-//!   deaths.
+//!   deaths. It repeats the process's own revalidated informed set
+//!   (`FloodingProcess::is_informed`), which the scenario engine reads
+//!   instead.
 //! * [`RecoveryCensus`] — a point-in-time per-partition-block census of
 //!   flood recovery (alive and informed counts per block of a deterministic
 //!   id-hash partition), for the chaos scenarios' heal and end-of-run
 //!   checkpoints.
 //!
-//! Typical wiring (the experiment binaries in `churn-bench` follow this
-//! shape, via `churn_sim::observe_rounds`):
+//! The scenario engine in `churn-sim` keeps an observer only where it reads
+//! the value every round: [`LiveMetrics`] in RAES tracking and
+//! [`LifetimeIsolation`] in the isolation census, both fed through
+//! `churn_sim::observe_rounds`. A value read once per sample is computed at
+//! the read instead (`Snapshot::of` at each expansion sample), so
+//! [`IncrementalSnapshot`] and [`InformedOverlap`] have no caller there.
+//!
+//! Typical wiring of the change feed:
 //!
 //! ```
 //! use churn_core::{DynamicNetwork, StreamingConfig, StreamingModel};
@@ -80,5 +84,5 @@ mod metrics;
 mod trackers;
 
 pub use incremental::{ApplyOutcome, IncrementalSnapshot};
-pub use metrics::{BehaviorCensus, BehaviorSummary, LiveMetrics, MetricsSummary};
+pub use metrics::{LiveMetrics, MetricsSummary};
 pub use trackers::{InformedOverlap, LifetimeIsolation, RecoveryCensus};

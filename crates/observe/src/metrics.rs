@@ -179,145 +179,3 @@ impl LiveMetrics {
         }
     }
 }
-
-/// Per-cell mirrored state of [`BehaviorCensus`].
-#[derive(Debug, Clone, Copy, Default)]
-struct CensusCell {
-    alive: bool,
-    tag: u8,
-}
-
-/// A normalised, comparable digest of a [`BehaviorCensus`] state: the alive
-/// population per behavior tag byte, sorted by tag, zero-count classes
-/// omitted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BehaviorSummary {
-    /// Total alive nodes.
-    pub alive: usize,
-    /// `(tag byte, alive count)` pairs, ascending by tag; tag `0` is the
-    /// honest class.
-    pub classes: Vec<(u8, usize)>,
-}
-
-/// Live census of the graph's behavior tags (see
-/// [`DynamicGraph::set_tag_at`]): how many alive nodes carry each tag byte,
-/// maintained O(delta) per round with the same dirty-cell reconciliation as
-/// [`LiveMetrics`].
-///
-/// The tracker relies on the tag lifecycle the Byzantine behavior layer
-/// guarantees: a tag is written only at spawn (the add already dirties the
-/// cell) and cleared only at removal (ditto), never mutated mid-life — so
-/// the change feed's dirty set always covers tag transitions.
-#[derive(Debug, Clone)]
-pub struct BehaviorCensus {
-    state: Vec<CensusCell>,
-    counts: Vec<usize>,
-    alive: usize,
-    seen: Vec<u32>,
-    epoch: u32,
-}
-
-impl BehaviorCensus {
-    /// Builds the census from the graph's current state (one full pass).
-    #[must_use]
-    pub fn new(graph: &DynamicGraph) -> Self {
-        let mut this = BehaviorCensus {
-            state: Vec::new(),
-            counts: vec![0; 256],
-            alive: 0,
-            seen: Vec::new(),
-            epoch: 0,
-        };
-        this.grow(graph.slab_len());
-        for &idx in graph.member_indices() {
-            this.refresh(graph, idx);
-        }
-        this
-    }
-
-    /// Brings the census up to date with one recorded delta window —
-    /// O(distinct dirty cells).
-    pub fn apply(&mut self, graph: &DynamicGraph, delta: &GraphDelta) {
-        self.grow(graph.slab_len());
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        for i in 0..delta.dirty.len() {
-            let idx = delta.dirty[i];
-            let slot = &mut self.seen[idx as usize];
-            if *slot == self.epoch {
-                continue;
-            }
-            *slot = self.epoch;
-            self.refresh(graph, idx);
-        }
-    }
-
-    /// Number of alive nodes.
-    #[must_use]
-    pub fn alive(&self) -> usize {
-        self.alive
-    }
-
-    /// Alive nodes with tag `0` (the honest class).
-    #[must_use]
-    pub fn honest_count(&self) -> usize {
-        self.counts[0]
-    }
-
-    /// Alive nodes carrying any nonzero tag.
-    #[must_use]
-    pub fn byzantine_count(&self) -> usize {
-        self.alive - self.counts[0]
-    }
-
-    /// The realized corrupted fraction of the alive population (0 when the
-    /// graph is empty).
-    #[must_use]
-    pub fn byzantine_fraction(&self) -> f64 {
-        if self.alive == 0 {
-            return 0.0;
-        }
-        self.byzantine_count() as f64 / self.alive as f64
-    }
-
-    /// A normalised digest for equality comparisons.
-    #[must_use]
-    pub fn summary(&self) -> BehaviorSummary {
-        BehaviorSummary {
-            alive: self.alive,
-            classes: self
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &count)| count != 0)
-                .map(|(tag, &count)| (tag as u8, count))
-                .collect(),
-        }
-    }
-
-    fn grow(&mut self, slab_len: usize) {
-        if self.state.len() < slab_len {
-            self.state.resize(slab_len, CensusCell::default());
-            self.seen.resize(slab_len, 0);
-        }
-    }
-
-    fn refresh(&mut self, graph: &DynamicGraph, idx: u32) {
-        let old = self.state[idx as usize];
-        if old.alive {
-            self.counts[old.tag as usize] -= 1;
-            self.alive -= 1;
-        }
-        if graph.in_request_count_at(idx).is_some() {
-            let tag = graph.tag_at(idx);
-            self.counts[tag as usize] += 1;
-            self.alive += 1;
-            self.state[idx as usize] = CensusCell { alive: true, tag };
-        } else {
-            self.state[idx as usize] = CensusCell::default();
-        }
-    }
-}

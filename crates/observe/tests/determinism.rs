@@ -186,68 +186,3 @@ fn informed_overlap_tracks_flooding_informed_count() {
     }
     assert!(process.is_complete(), "SDGR flooding should complete");
 }
-
-#[test]
-fn behavior_census_tracks_byzantine_populations_live() {
-    use churn_observe::BehaviorCensus;
-    use churn_protocol::{AdversaryModel, AttackKind};
-
-    let adversaries = [
-        AdversaryModel::None,
-        AdversaryModel::Uniform {
-            fraction: 0.25,
-            attack: AttackKind::RefuseAll,
-        },
-        AdversaryModel::JoinFlood {
-            fraction: 0.2,
-            cohort: 4,
-            attack: AttackKind::SilentOnFlood,
-        },
-    ];
-    for adversary in adversaries {
-        for churn in [ChurnDriver::Streaming, ChurnDriver::Poisson] {
-            let mut model = RaesModel::new(
-                RaesConfig::new(60, 3)
-                    .churn(churn)
-                    .adversary(adversary)
-                    .seed(0xB12),
-            )
-            .expect("valid parameters");
-            model.warm_up();
-            model.graph_mut().set_delta_recording(true);
-            let mut census = BehaviorCensus::new(model.graph());
-            let mut delta = GraphDelta::new();
-            for round in 1..=60u32 {
-                model.advance_time_unit();
-                model.graph_mut().take_delta_into(&mut delta);
-                census.apply(model.graph(), &delta);
-                let fresh = BehaviorCensus::new(model.graph());
-                assert_eq!(
-                    census.summary(),
-                    fresh.summary(),
-                    "{adversary:?}/{churn}: census diverged at round {round}"
-                );
-                assert_eq!(census.alive(), model.alive_count());
-                assert_eq!(
-                    census.byzantine_count(),
-                    model.graph().tagged_member_count(),
-                    "census must agree with the graph's tag count"
-                );
-                assert_eq!(
-                    census.honest_count() + census.byzantine_count(),
-                    census.alive()
-                );
-            }
-            match adversary {
-                AdversaryModel::None => {
-                    assert_eq!(census.byzantine_count(), 0);
-                    assert_eq!(census.byzantine_fraction(), 0.0);
-                }
-                _ => assert!(
-                    census.byzantine_count() > 0,
-                    "{adversary:?}: a 20%+ adversary corrupts someone in 60 rounds"
-                ),
-            }
-        }
-    }
-}

@@ -1,7 +1,7 @@
 //! Per-round observation plumbing over the graph's change feed.
 //!
 //! Experiment bodies that maintain incremental observers (`churn-observe`'s
-//! snapshot/metric trackers) all need the same loop: enable
+//! metric and isolation trackers) all need the same loop: enable
 //! [`churn_graph::GraphDelta`] recording, advance the model one
 //! message-delay unit, drain the recorded window into a reused buffer, and
 //! hand `(round, model, summary, delta)` to the observers. This module is
@@ -23,13 +23,19 @@ use churn_core::{ChurnSummary, DynamicNetwork, GraphDelta};
 /// mutations between calls land in the discarded window and observers that
 /// were already attached silently desynchronise. If the model must advance
 /// between observation windows, either rebuild the observers from the graph
-/// (`IncrementalSnapshot::new` / `rebuild`) or drain the graph's delta
-/// manually instead of relying on this helper. Recording is left enabled on
-/// exit; call `model.graph_mut().set_delta_recording(false)` to detach.
+/// (`LiveMetrics::new`, `LifetimeIsolation::start`) or drain the graph's
+/// delta manually instead of relying on this helper. Recording is left
+/// enabled on exit; call `model.graph_mut().set_delta_recording(false)` to
+/// detach.
 ///
 /// Observers built from the graph between the model's last mutation and
-/// this call (e.g. `IncrementalSnapshot::new`) see exactly the windows
-/// their `apply` expects.
+/// this call (e.g. `LiveMetrics::new`) see exactly the windows their
+/// `apply` expects.
+///
+/// Only a value read after every round needs an observer; a value read at
+/// a few sample points is cheaper to compute from the graph at the read
+/// (`Snapshot::of`), with the model advanced by plain `advance_time_unit`
+/// calls in between.
 pub fn observe_rounds<M, F>(model: &mut M, rounds: u64, mut observer: F)
 where
     M: DynamicNetwork + ?Sized,

@@ -292,12 +292,11 @@ pub struct FloodingSpec {
     pub record_isolation: bool,
 }
 
-/// Knobs of the incremental-snapshot expansion measurement.
+/// Knobs of the snapshot expansion measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpansionSpec {
-    /// Churn the model `n / initial_window_div` rounds (through the
-    /// incremental snapshot) before the first sample; 0 = sample right after
-    /// warm-up.
+    /// Churn the model `n / initial_window_div` rounds before the first
+    /// sample; 0 = sample right after warm-up.
     pub initial_window_div: usize,
     /// Number of snapshots sampled per trial (the recorded value is the
     /// worst sample — the theorems quantify over *every* snapshot).
@@ -524,10 +523,9 @@ impl Default for FaultSpec {
 pub enum Measurement {
     /// Sequential single-frontier flooding.
     Flooding(FloodingSpec),
-    /// Sharded parallel flooding with the `churn-observe` pipeline attached:
-    /// the informed-alive overlap is tracked per round through the graph's
-    /// change feed, and the *uninformed* population is classified
-    /// structurally (isolated / below-`d` degree) at the end of the run.
+    /// Sharded parallel flooding: after the run, the flood's own informed
+    /// set gives the informed-alive overlap, and the *uninformed*
+    /// population is classified structurally (isolated / below-`d` degree).
     ParallelFlooding(FloodingSpec),
     /// Partial-flooding coverage within the `O(log n / log d)` budget of
     /// Theorems 3.8 / 4.13.
@@ -535,7 +533,7 @@ pub enum Measurement {
     /// Isolated-now census plus the Lemma 3.5 / 4.10 lifetime-isolation
     /// follow-up over the change feed.
     Isolation,
-    /// Vertex expansion of incrementally maintained snapshots.
+    /// Vertex expansion of snapshots built at the sample points.
     Expansion(ExpansionSpec),
     /// RAES realized-graph tracking over time: per-round cap occupancy and
     /// isolation plus periodic full-range expansion (requires RAES nets).

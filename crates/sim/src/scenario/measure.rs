@@ -8,7 +8,7 @@
 
 use churn_core::expansion::{measure_expansion_on, SizeRange};
 use churn_core::flooding::{
-    run_flooding, run_flooding_parallel_observed, FloodingConfig, FloodingRecord, FloodingSource,
+    run_flooding, FloodingConfig, FloodingProcess, FloodingRecord, FloodingSource,
 };
 use churn_core::onion_skin::run_onion_skin;
 use churn_core::{theory, ChurnSummary, DynamicNetwork};
@@ -16,9 +16,7 @@ use churn_graph::expansion::ExpansionConfig;
 use churn_graph::generators::d_out_random_graph;
 use churn_graph::traversal::{connected_components, static_flooding_time};
 use churn_graph::{DynamicGraph, NodeId, Snapshot};
-use churn_observe::{
-    IncrementalSnapshot, InformedOverlap, LifetimeIsolation, LiveMetrics, RecoveryCensus,
-};
+use churn_observe::{LifetimeIsolation, LiveMetrics, RecoveryCensus};
 use churn_p2p::gossip::propagate_block_series;
 use churn_p2p::health::overlay_health;
 use churn_p2p::P2pNetwork;
@@ -164,7 +162,7 @@ pub(super) fn run_cell(
         }
         Measurement::PartialFlooding => (partial_flooding_cell(cell, seed), None),
         Measurement::Isolation => (isolation_cell(cell, seed), None),
-        Measurement::Expansion(spec) => (expansion_cell(cell, seed, spec, threads), None),
+        Measurement::Expansion(spec) => (expansion_cell(cell, seed, spec), None),
         Measurement::RaesTracking {
             samples,
             interval_div,
@@ -484,9 +482,24 @@ fn async_raes_cell(
 }
 
 /// The isolated fraction of the current topology (nodes with no incident
-/// links over alive nodes).
+/// links over alive nodes), counted in one pass over the member table.
 fn isolated_fraction(net: &AnyNet) -> f64 {
-    LiveMetrics::new(net.graph()).isolated_count() as f64 / net.alive_count().max(1) as f64
+    let graph = net.graph();
+    let isolated = graph
+        .member_indices()
+        .iter()
+        .filter(|&&idx| graph.incident_link_count_at(idx) == Some(0))
+        .count();
+    isolated as f64 / graph.len().max(1) as f64
+}
+
+/// Advances `net` by `rounds` message-delay units, discarding the churn
+/// summaries (merging them, as `advance_time_units` does, costs a scan of
+/// the window's births per death).
+fn advance(net: &mut AnyNet, rounds: u64) {
+    for _ in 0..rounds {
+        net.advance_time_unit();
+    }
 }
 
 /// The flooding metrics shared by the sequential and parallel measurements.
@@ -613,34 +626,19 @@ fn parallel_flooding_cell(
         out.push(("isolated_fraction", isolated_fraction(&net)));
     }
     let max_rounds = spec.budget.resolve(cell.n);
-    // The observe pipeline rides along: the informed-alive overlap is
-    // maintained per round from the graph's change feed (deaths retire
-    // marks *before* the round's new marks land, so a recycled cell whose
-    // newborn got informed survives).
-    let mut overlap = InformedOverlap::new();
-    let record = run_flooding_parallel_observed(
-        &mut net,
-        FloodingSource::NextToJoin,
-        &FloodingConfig::with_max_rounds(max_rounds),
-        threads,
-        |_, delta, process| {
-            overlap.apply(delta);
-            for idx in process.newly_informed_dense() {
-                overlap.mark(idx);
-            }
-        },
-    );
+    let mut process = FloodingProcess::start(&mut net, FloodingSource::NextToJoin, threads);
+    let record = process.run(&mut net, &FloodingConfig::with_max_rounds(max_rounds));
     flooding_metrics(&record, max_rounds, &mut out);
-    // Informed-overlap per structural class: which part of the alive
-    // population the broadcast missed, split by degree class.
+    // Which part of the alive population the broadcast missed, split by
+    // degree class. The process revalidated its informed set after the last
+    // round's churn, so it marks exactly the informed alive cells.
     let graph = net.graph();
-    let alive = graph.len().max(1);
     let mut uninformed = 0usize;
     let mut uninformed_isolated = 0usize;
     let mut uninformed_low_degree = 0usize;
     let mut uninformed_honest = 0usize;
     for &idx in graph.member_indices() {
-        if overlap.is_informed(idx) {
+        if process.is_informed(idx) {
             continue;
         }
         uninformed += 1;
@@ -660,7 +658,8 @@ fn parallel_flooding_cell(
             uninformed_low_degree += 1;
         }
     }
-    out.push(("informed_alive_overlap", overlap.overlap_fraction(alive)));
+    // The informed count over `graph.len()`: the last round's fraction.
+    out.push(("informed_alive_overlap", record.final_fraction()));
     out.push(("uninformed_alive", uninformed as f64));
     let uninformed_base = uninformed.max(1) as f64;
     out.push((
@@ -742,7 +741,7 @@ fn isolation_cell(cell: &CellSpec, seed: u64) -> Metrics {
     ]
 }
 
-fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec, threads: usize) -> Metrics {
+fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec) -> Metrics {
     let mut net = build_net(cell, seed);
     net.warm_up();
     let config = if spec.fast {
@@ -752,12 +751,8 @@ fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec, threads: usiz
     };
     let mut rng = seeded_rng(seed ^ 0xABCD);
     let streaming = net.has_streaming_churn();
-    let mut inc = IncrementalSnapshot::new(net.graph()).with_threads(threads);
     if let Some(window) = cell.n.checked_div(spec.initial_window_div) {
-        let window = window.max(4) as u64;
-        observe_rounds(&mut net, window, |_, m, _, delta| {
-            inc.apply(m.graph(), delta);
-        });
+        advance(&mut net, window.max(4) as u64);
     }
     let interval = (cell.n / spec.interval_div.max(1)).max(8) as u64;
     let mut worst_full = f64::INFINITY;
@@ -765,11 +760,9 @@ fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec, threads: usiz
     let mut large_min_size = 0usize;
     for sample in 0..spec.samples.max(1) {
         if sample > 0 {
-            observe_rounds(&mut net, interval, |_, m, _, delta| {
-                inc.apply(m.graph(), delta);
-            });
+            advance(&mut net, interval);
         }
-        let snapshot = inc.to_snapshot();
+        let snapshot = Snapshot::of(net.graph());
         let time = net.time();
         if spec.large_sets {
             let bounds = SizeRange::LargeSets.bounds_for(snapshot.len(), cell.d, streaming);
@@ -832,7 +825,6 @@ fn raes_tracking_cell(
     };
     let interval = (cell.n / interval_div.max(1)).max(8) as u64;
     let mut rng = seeded_rng(seed ^ 0x5BAE);
-    let mut inc = IncrementalSnapshot::new(net.graph());
     let mut metrics = LiveMetrics::new(net.graph());
     let mut min_expansion = f64::INFINITY;
     let mut max_in_degree = metrics.max_in_requests();
@@ -842,7 +834,6 @@ fn raes_tracking_cell(
     let mut rounds_series = series.then(RoundSeries::new);
     for _ in 0..samples {
         observe_rounds(&mut net, interval, |_, m, _, delta| {
-            inc.apply(m.graph(), delta);
             metrics.apply(m.graph(), delta);
             max_in_degree = max_in_degree.max(metrics.max_in_requests());
             let alive = m.alive_count();
@@ -859,7 +850,7 @@ fn raes_tracking_cell(
                 ]);
             }
         });
-        let snapshot = inc.to_snapshot();
+        let snapshot = Snapshot::of(net.graph());
         let bounds = SizeRange::Full.bounds_for(snapshot.len(), cell.d, net.has_streaming_churn());
         if let Some(value) =
             measure_expansion_on(&snapshot, bounds, &config, &mut rng, net.time()).value()
