@@ -5,15 +5,18 @@
 //! exp run <name> [<name>…]         # run scenarios (full preset)
 //! exp run --all                    # run every registered scenario
 //!   --smoke                        # tiny-n smoke grids (CI runs this per PR)
+//!   --large                        # the entries' n = 10^6 rows instead
 //!   --resume                       # skip cells already in the checkpoint
 //!   --series                       # record per-round series + phase profiles
 //!   --out <dir>                    # output directory (default: results/)
 //! exp report <name> [<name>…]      # regenerate the verdict report from the
-//!   [--smoke] [--out <dir>]        # stored records — no cell is re-run
+//!   [--smoke|--large] [--out <dir>] # stored records — no cell is re-run
 //! ```
 //!
 //! Every run streams one JSON record per completed cell to
-//! `<out>/<name>.jsonl` (`.smoke.jsonl` on the smoke preset). Cells already
+//! `<out>/<name>.jsonl` (`.smoke.jsonl` on the smoke preset, `<name>-1m.jsonl`
+//! under `--large`; `--all --large` means every entry that declares large
+//! rows). Cells already
 //! present in the file are skipped under `--resume`; because cell identity
 //! is the deterministic per-cell seed and every engine is thread-count
 //! independent, a resumed file is bit-identical to an uninterrupted run.
@@ -28,13 +31,79 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use churn_bench::scenarios;
-use churn_sim::scenario::{scenario_series_path, GridPreset, RunOptions};
+use churn_sim::scenario::{
+    scenario_series_path, GridPreset, RunOptions, Scenario, ScenarioRegistry,
+};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: exp list\n       exp run <name>… | --all  [--smoke] [--resume] [--series] [--out <dir>]\n       exp report <name>… | --all  [--smoke] [--out <dir>]"
+        "usage: exp list\n       exp run <name>… | --all  [--smoke|--large] [--resume] [--series] [--out <dir>]\n       exp report <name>… | --all  [--smoke|--large] [--out <dir>]"
     );
     ExitCode::FAILURE
+}
+
+/// Parses the arguments of `exp <command>` (`run` or `report`; only `run`
+/// takes `--resume` and `--series`) into the scenarios to process, in order,
+/// and the run options. On a bad invocation it prints why and returns the
+/// exit code.
+fn parse<'r>(
+    command: &str,
+    args: &[String],
+    registry: &'r ScenarioRegistry,
+) -> Result<(Vec<&'r Scenario>, RunOptions), ExitCode> {
+    let mut names: Vec<&str> = Vec::new();
+    let (mut all, mut large) = (false, false);
+    let mut opts = RunOptions::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--all" => all = true,
+            "--smoke" => opts.preset = GridPreset::Smoke,
+            "--large" => large = true,
+            "--resume" if command == "run" => opts.resume = true,
+            "--series" if command == "run" => opts.series = true,
+            "--out" => match rest.next() {
+                Some(dir) => opts.dir = PathBuf::from(dir),
+                None => return Err(usage()),
+            },
+            name if !name.starts_with('-') => names.push(name),
+            _ => return Err(usage()),
+        }
+    }
+    if large && opts.preset == GridPreset::Smoke {
+        eprintln!("--smoke and --large exclude each other: the large rows have no smoke grid");
+        return Err(usage());
+    }
+    if all {
+        names = registry.names();
+    }
+    if names.is_empty() {
+        return Err(usage());
+    }
+    let mut scenarios = Vec::new();
+    for name in names {
+        let Some(entry) = registry.get(name) else {
+            match name.strip_suffix("-1m").and_then(|base| registry.get(base)) {
+                Some(base) if base.large_rows().is_some() => eprintln!(
+                    "scenario {name:?} is the large rows of {base:?}: exp {command} {base} --large",
+                    base = base.name()
+                ),
+                _ => eprintln!("unknown scenario {name:?}; `exp list` shows the registry"),
+            }
+            return Err(ExitCode::FAILURE);
+        };
+        match (large, entry.large_rows()) {
+            (false, _) => scenarios.push(entry),
+            (true, Some(rows)) => scenarios.push(rows),
+            // `--all --large` means every entry that has large rows.
+            (true, None) if all => {}
+            (true, None) => {
+                eprintln!("scenario {name:?} declares no large rows; `exp list` shows which do");
+                return Err(ExitCode::FAILURE);
+            }
+        }
+    }
+    Ok((scenarios, opts))
 }
 
 fn main() -> ExitCode {
@@ -43,8 +112,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("list") => {
             println!(
-                "{:<22} {:<21} {:>5} {:>5} {:<6}  title",
-                "name", "measurement", "full", "smoke", "series"
+                "{:<22} {:<21} {:>5} {:>5} {:>5} {:<6}  title",
+                "name", "measurement", "full", "smoke", "large", "series"
             );
             let full_opts = RunOptions::default();
             let smoke_opts = RunOptions {
@@ -64,12 +133,18 @@ fn main() -> ExitCode {
                 } else {
                     "yes"
                 };
+                // "large" column: cells of the n = 10^6 rows `--large` runs.
+                let large = scenario.large_rows().map_or_else(
+                    || "-".to_string(),
+                    |rows| rows.cells(GridPreset::Full).len().to_string(),
+                );
                 println!(
-                    "{:<22} {:<21} {:>5} {:>5} {:<6}  {}",
+                    "{:<22} {:<21} {:>5} {:>5} {:>5} {:<6}  {}",
                     scenario.name(),
                     scenario.measurement().kind(),
                     scenario.cells(GridPreset::Full).len(),
                     scenario.cells(GridPreset::Smoke).len(),
+                    large,
                     series,
                     scenario.title()
                 );
@@ -80,7 +155,8 @@ fn main() -> ExitCode {
                         .map(churn_sim::scenario::FaultSpec::label)
                         .collect();
                     println!(
-                        "{:<22} {:<21} {:>5} {:>5} {:<6}  faults: {}",
+                        "{:<22} {:<21} {:>5} {:>5} {:>5} {:<6}  faults: {}",
+                        "",
                         "",
                         "",
                         "",
@@ -92,41 +168,16 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("run") => {
-            let mut names: Vec<String> = Vec::new();
-            let mut all = false;
-            let mut opts = RunOptions::default();
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--all" => all = true,
-                    "--smoke" => opts.preset = GridPreset::Smoke,
-                    "--resume" => opts.resume = true,
-                    "--series" => opts.series = true,
-                    "--out" => match rest.next() {
-                        Some(dir) => opts.dir = PathBuf::from(dir),
-                        None => return usage(),
-                    },
-                    name if !name.starts_with('-') => names.push(name.to_string()),
-                    _ => return usage(),
-                }
-            }
-            if all {
-                names = registry.names().into_iter().map(str::to_string).collect();
-            }
-            if names.is_empty() {
-                return usage();
-            }
-            for name in &names {
-                if registry.get(name).is_none() {
-                    eprintln!("unknown scenario {name:?}; `exp list` shows the registry");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let mut failures: Vec<(String, usize)> = Vec::new();
-            let mut shed: Vec<(String, usize)> = Vec::new();
-            for name in &names {
-                let outcome = scenarios::run_and_report(&registry, name, &opts);
+        Some(command @ "run") => {
+            let (selected, opts) = match parse(command, &args[1..], &registry) {
+                Ok(parsed) => parsed,
+                Err(code) => return code,
+            };
+            let mut failures: Vec<(&str, usize)> = Vec::new();
+            let mut shed: Vec<(&str, usize)> = Vec::new();
+            for scenario in selected {
+                let name = scenario.name();
+                let outcome = scenarios::run_and_report(scenario, &opts);
                 // Retry-budget exhaustion is in-band graceful degradation:
                 // the cell completed and recorded how many repairs it shed.
                 // Keep it out of the exit code but visible in the summary.
@@ -136,10 +187,10 @@ fn main() -> ExitCode {
                     .filter(|r| r.metric("retries_exhausted").is_some_and(|v| v > 0.0))
                     .count();
                 if exhausted > 0 {
-                    shed.push((name.clone(), exhausted));
+                    shed.push((name, exhausted));
                 }
                 if !outcome.failures.is_empty() {
-                    failures.push((name.clone(), outcome.failures.len()));
+                    failures.push((name, outcome.failures.len()));
                 }
             }
             if !failures.is_empty() || !shed.is_empty() {
@@ -163,43 +214,18 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Some("report") => {
-            let mut names: Vec<String> = Vec::new();
-            let mut all = false;
-            let mut opts = RunOptions::default();
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--all" => all = true,
-                    "--smoke" => opts.preset = GridPreset::Smoke,
-                    "--out" => match rest.next() {
-                        Some(dir) => opts.dir = PathBuf::from(dir),
-                        None => return usage(),
-                    },
-                    name if !name.starts_with('-') => names.push(name.to_string()),
-                    _ => return usage(),
-                }
-            }
-            if all {
-                names = registry.names().into_iter().map(str::to_string).collect();
-            }
-            if names.is_empty() {
-                return usage();
-            }
+        Some(command @ "report") => {
+            let (selected, opts) = match parse(command, &args[1..], &registry) {
+                Ok(parsed) => parsed,
+                Err(code) => return code,
+            };
             let mut failed = false;
-            for name in &names {
-                match scenarios::report_from_disk(&registry, name, &opts) {
+            for scenario in selected {
+                match scenarios::report_from_disk(scenario, &opts) {
                     Ok(report) => {
-                        let title = registry
-                            .get(name)
-                            .map_or_else(|| name.clone(), |s| s.title().to_string());
-                        let artifact = registry
-                            .get(name)
-                            .map_or("", |s| s.reproduced_artifact())
-                            .to_string();
                         churn_bench::print_report(
-                            &title,
-                            &artifact,
+                            scenario.title(),
+                            scenario.reproduced_artifact(),
                             opts.preset,
                             &report.tables,
                             std::slice::from_ref(&report.comparisons),
@@ -209,7 +235,7 @@ fn main() -> ExitCode {
                         }
                     }
                     Err(message) => {
-                        eprintln!("report {name}: {message}");
+                        eprintln!("report {}: {message}", scenario.name());
                         failed = true;
                     }
                 }

@@ -1,14 +1,18 @@
 //! The scenario registry: every experiment of this workspace as a
 //! declarative `churn_sim::scenario::Scenario`.
 //!
-//! Each experiment is a ~15-line spec registered here and executed through
-//! the single `exp` runner (`exp run <name>|--all [--smoke] [--resume]`).
+//! Each experiment is a ~15-line spec registered here once and executed
+//! through the single `exp` runner
+//! (`exp run <name>|--all [--smoke|--large] [--resume]`).
 //!
 //! Grids: the **full** preset carries each experiment's laptop-scale
-//! configuration (including the `n = 10⁶` rows, registered as separate
-//! `*-1m` scenarios so they can be run — and resumed — independently); the
-//! **smoke** preset is a tiny-`n` grid the whole registry finishes in
-//! seconds, run by CI on every PR.
+//! configuration; the **smoke** preset is a tiny-`n` grid the whole registry
+//! finishes in seconds, run by CI on every PR. An experiment whose claims
+//! need testing at scale also declares its `n = 10⁶` rows with
+//! `Scenario::large`, overriding only the axes that change there (a smaller
+//! net or fault axis, the fast expansion budget). `--large` runs those rows
+//! on their own checkpoint, `<name>-1m.jsonl`, so they are resumed
+//! independently of the entry's full grid.
 
 use churn_core::{ModelKind, VictimPolicy};
 use churn_event::{BandwidthModel, CrashRestart, LatencyModel, LossModel, PartitionWindow};
@@ -43,36 +47,29 @@ pub fn registry() -> ScenarioRegistry {
         .nets(baselines)
         .full_grid(Grid::new([1_024, 4_096], [1, 2, 3, 4, 6], 10))
         .smoke_grid(Grid::new([96], [2], 2))
-        .base_seed(0xE1),
-    );
-    registry.register(
-        Scenario::new(
-            "isolated-nodes-1m",
-            "E1 — isolated nodes at n = 10^6 (no-regeneration models)",
-            Measurement::Isolation,
-        )
-        .reproduces("Lemmas 3.5 / 4.10 at scale (churn-observe incremental census)")
-        .nets([
-            NetSpec::Baseline(ModelKind::Sdg),
-            NetSpec::Baseline(ModelKind::Pdg),
-        ])
-        .full_grid(Grid::new([1_000_000], [2, 4], 1))
-        .smoke_grid(Grid::new([128], [2], 1))
-        .base_seed(0xE1),
+        .base_seed(0xE1)
+        .large(|s| {
+            s.nets([
+                NetSpec::Baseline(ModelKind::Sdg),
+                NetSpec::Baseline(ModelKind::Pdg),
+            ])
+            .full_grid(Grid::new([1_000_000], [2, 4], 1))
+        }),
     );
 
     // E2 — large-subset expansion without regeneration (Lemmas 3.6 / 4.11).
+    let e2 = ExpansionSpec {
+        initial_window_div: 16,
+        samples: 1,
+        interval_div: 16,
+        large_sets: true,
+        fast: false,
+    };
     registry.register(
         Scenario::new(
             "large-set-expansion",
             "E2 — large-subset expansion without edge regeneration",
-            Measurement::Expansion(ExpansionSpec {
-                initial_window_div: 16,
-                samples: 1,
-                interval_div: 16,
-                large_sets: true,
-                fast: false,
-            }),
+            Measurement::Expansion(e2),
         )
         .reproduces("Table 1 (large-set expansion); Lemmas 3.6 and 4.11")
         .nets([
@@ -81,28 +78,12 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([1_024, 4_096], [20, 24, 32], 5))
         .smoke_grid(Grid::new([96], [8], 2))
-        .base_seed(0xE2),
-    );
-    registry.register(
-        Scenario::new(
-            "large-set-expansion-1m",
-            "E2 — large-subset expansion at n = 10^6",
-            Measurement::Expansion(ExpansionSpec {
-                initial_window_div: 16,
-                samples: 1,
-                interval_div: 16,
-                large_sets: true,
-                fast: true,
-            }),
-        )
-        .reproduces("Lemmas 3.6 / 4.11 at scale (incremental boundary sweep)")
-        .nets([
-            NetSpec::Baseline(ModelKind::Sdg),
-            NetSpec::Baseline(ModelKind::Pdg),
-        ])
-        .full_grid(Grid::new([1_000_000], [20], 1))
-        .smoke_grid(Grid::new([128], [8], 1))
-        .base_seed(0xE2),
+        .base_seed(0xE2)
+        .large(|s| {
+            // The fast estimator budget keeps a 10^6 snapshot tractable.
+            s.with_measurement(Measurement::Expansion(ExpansionSpec { fast: true, ..e2 }))
+                .full_grid(Grid::new([1_000_000], [20], 1))
+        }),
     );
 
     // E3 — flooding failure without regeneration (Theorems 3.7 / 4.12).
@@ -122,25 +103,8 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([1_024], [1, 2, 3, 4], 200))
         .smoke_grid(Grid::new([256], [1, 2], 3))
-        .base_seed(0xE3),
-    );
-    registry.register(
-        Scenario::new(
-            "flooding-failure-1m",
-            "E3 — no completion within O(log n) rounds at n = 10^6",
-            Measurement::ParallelFlooding(FloodingSpec {
-                budget: RoundBudget::Log2Times(6),
-                record_isolation: false,
-            }),
-        )
-        .reproduces("Theorems 3.7 / 4.12 at scale")
-        .nets([
-            NetSpec::Baseline(ModelKind::Sdg),
-            NetSpec::Baseline(ModelKind::Pdg),
-        ])
-        .full_grid(Grid::new([1_000_000], [1, 4], 6))
-        .smoke_grid(Grid::new([256], [1], 2))
-        .base_seed(0xE3),
+        .base_seed(0xE3)
+        .large(|s| s.full_grid(Grid::new([1_000_000], [1, 4], 6))),
     );
 
     // E4 — partial flooding (Theorems 3.8 / 4.13).
@@ -274,19 +238,8 @@ pub fn registry() -> ScenarioRegistry {
         .nets([NetSpec::Baseline(ModelKind::Sdg)])
         .full_grid(Grid::new([16_384], [64, 128], 3))
         .smoke_grid(Grid::new([1_024], [16], 1))
-        .base_seed(0xE9),
-    );
-    registry.register(
-        Scenario::new(
-            "onion-skin-1m",
-            "E9 — onion-skin growth at n = 10^6",
-            Measurement::OnionSkin,
-        )
-        .reproduces("Claim 3.10 / Lemma 3.9 at scale (dense-index construction)")
-        .nets([NetSpec::Baseline(ModelKind::Sdg)])
-        .full_grid(Grid::new([1_000_000], [64, 128], 1))
-        .smoke_grid(Grid::new([2_048], [16], 1))
-        .base_seed(0xE9),
+        .base_seed(0xE9)
+        .large(|s| s.full_grid(Grid::new([1_000_000], [64, 128], 1))),
     );
 
     // E10 — Bitcoin-like overlay (Sections 1.1 and 2).
@@ -411,28 +364,19 @@ pub fn registry() -> ScenarioRegistry {
         .nets(byz_nets)
         .full_grid(Grid::new([100_000], [8], 2))
         .smoke_grid(Grid::new([256], [8], 1))
-        .base_seed(0xE11),
-    );
-    registry.register(
-        Scenario::new(
-            "byzantine-raes-1m",
-            "E14 — uniformly corrupted RAES flooding at n = 10^6",
-            byz_flooding(),
-        )
-        .reproduces(
-            "E14 at scale; the f = 0 row is bit-identical to raes-flooding's 10^6 RAES cell",
-        )
-        .nets([
-            NetSpec::raes_default(),
-            uniform(0.05, AttackKind::RefuseAll),
-            uniform(0.2, AttackKind::RefuseAll),
-            uniform(0.05, AttackKind::CapSaturator),
-            uniform(0.2, AttackKind::CapSaturator),
-            uniform(0.2, AttackKind::SilentOnFlood),
-        ])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [8], 1))
-        .base_seed(0xE11),
+        .base_seed(0xE11)
+        .large(|s| {
+            // The f = 0 row is bit-identical to raes-flooding's 10^6 RAES cell.
+            s.nets([
+                NetSpec::raes_default(),
+                uniform(0.05, AttackKind::RefuseAll),
+                uniform(0.2, AttackKind::RefuseAll),
+                uniform(0.05, AttackKind::CapSaturator),
+                uniform(0.2, AttackKind::CapSaturator),
+                uniform(0.2, AttackKind::SilentOnFlood),
+            ])
+            .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E15 — structured adversaries: eclipse (targeted-neighborhood) and
@@ -515,36 +459,28 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([100_000], [8], 2))
         .smoke_grid(Grid::new([256], [8], 1))
-        .base_seed(0xE11),
-    );
-    registry.register(
-        Scenario::new(
-            "byzantine-eclipse-1m",
-            "E15 — eclipse and join-flood adversaries at n = 10^6",
-            byz_flooding(),
-        )
-        .reproduces("E15 at scale (f = 0 row anchors to raes-flooding's 10^6 RAES cell)")
-        .nets([
-            NetSpec::raes_default(),
-            NetSpec::Raes(RaesNet {
-                adversary: AdversaryModel::Eclipse {
-                    fraction: 0.1,
-                    attack: AttackKind::CapSaturator,
-                },
-                ..RaesNet::default()
-            }),
-            NetSpec::Raes(RaesNet {
-                adversary: AdversaryModel::JoinFlood {
-                    fraction: 0.1,
-                    cohort: 8,
-                    attack: AttackKind::SilentOnFlood,
-                },
-                ..RaesNet::default()
-            }),
-        ])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [8], 1))
-        .base_seed(0xE11),
+        .base_seed(0xE11)
+        .large(|s| {
+            s.nets([
+                NetSpec::raes_default(),
+                NetSpec::Raes(RaesNet {
+                    adversary: AdversaryModel::Eclipse {
+                        fraction: 0.1,
+                        attack: AttackKind::CapSaturator,
+                    },
+                    ..RaesNet::default()
+                }),
+                NetSpec::Raes(RaesNet {
+                    adversary: AdversaryModel::JoinFlood {
+                        fraction: 0.1,
+                        cohort: 8,
+                        attack: AttackKind::SilentOnFlood,
+                    },
+                    ..RaesNet::default()
+                }),
+            ])
+            .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E12 — adversarial churn schedules (robustness beyond oblivious churn).
@@ -569,23 +505,12 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([512, 1_024], [4, 8], 6))
         .smoke_grid(Grid::new([128], [2], 1))
-        .base_seed(0xE12),
-    );
-    registry.register(
-        Scenario::new(
-            "adversarial-churn-1m",
-            "E12 — degree-targeted churn at n = 10^6 (bucketed victim index)",
-            Measurement::Flooding(FloodingSpec {
-                budget: RoundBudget::Fixed(200),
-                record_isolation: true,
-            }),
-        )
-        .reproduces("Adversarial grids at scale, enabled by the degree-bucketed victim index")
-        .nets([NetSpec::Baseline(ModelKind::Pdgr)])
-        .victims([VictimPolicy::Uniform, VictimPolicy::HighestDegree])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [4], 1))
-        .base_seed(0xE12),
+        .base_seed(0xE12)
+        .large(|s| {
+            s.nets([NetSpec::Baseline(ModelKind::Pdgr)])
+                .victims([VictimPolicy::Uniform, VictimPolicy::HighestDegree])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E16 — event-driven asynchronous flooding (churn-event): per-message
@@ -612,23 +537,11 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([1_024, 4_096, 16_384], [8], 5))
         .smoke_grid(Grid::new([128, 256], [4], 1))
-        .base_seed(0xE16),
-    );
-    registry.register(
-        Scenario::new(
-            "async-flooding-1m",
-            "E16 — asynchronous flooding at n = 10^6",
-            Measurement::AsyncFlooding(AsyncFloodingSpec {
-                latency: LatencyModel::Exponential { mean: 0.5 },
-                bandwidth: BandwidthModel::drop_tail(32.0, 64),
-                horizon: RoundBudget::Log2Times(6),
-            }),
-        )
-        .reproduces("E16 at scale (one heap event per message delivery)")
-        .nets([NetSpec::Baseline(ModelKind::Sdgr), NetSpec::raes_default()])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [4], 1))
-        .base_seed(0xE16),
+        .base_seed(0xE16)
+        .large(|s| {
+            s.nets([NetSpec::Baseline(ModelKind::Sdgr), NetSpec::raes_default()])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E17 — asynchronous RAES repair under message load: requests and
@@ -657,24 +570,12 @@ pub fn registry() -> ScenarioRegistry {
         ])
         .full_grid(Grid::new([1_024, 4_096, 16_384], [8], 5))
         .smoke_grid(Grid::new([128], [4], 1))
-        .base_seed(0xE17),
-    );
-    registry.register(
-        Scenario::new(
-            "async-raes-load-1m",
-            "E17 — message-level RAES repair at n = 10^6",
-            Measurement::AsyncRaes(AsyncRaesSpec {
-                latency: LatencyModel::Exponential { mean: 0.5 },
-                bandwidth: BandwidthModel::delaying(32.0),
-                horizon: RoundBudget::Log2Times(6),
-                flood: true,
-            }),
-        )
-        .reproduces("E17 at scale (initial wiring alone is ~8M request/reply messages)")
-        .nets([NetSpec::raes_default()])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([128], [4], 1))
-        .base_seed(0xE17),
+        .base_seed(0xE17)
+        .large(|s| {
+            // The initial wiring alone is ~8M request/reply messages.
+            s.nets([NetSpec::raes_default()])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E18 — the chaos layer over E16's asynchronous flooding: i.i.d. link
@@ -708,20 +609,11 @@ pub fn registry() -> ScenarioRegistry {
         .faults(loss_axis)
         .full_grid(Grid::new([1_024, 4_096], [8], 3))
         .smoke_grid(Grid::new([128, 256], [4], 1))
-        .base_seed(0xE16),
-    );
-    registry.register(
-        Scenario::new(
-            "lossy-flooding-1m",
-            "E18 — lossy asynchronous flooding at n = 10^6",
-            Measurement::AsyncFlooding(e16_spec()),
-        )
-        .reproduces("E18 at scale (per-link loss draws ride the fault substream)")
-        .nets([NetSpec::Baseline(ModelKind::Sdgr)])
-        .faults([FaultSpec::none(), FaultSpec::iid_loss(0.1)])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [4], 1))
-        .base_seed(0xE16),
+        .base_seed(0xE16)
+        .large(|s| {
+            s.faults([FaultSpec::none(), FaultSpec::iid_loss(0.1)])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E19 — scheduled partition with pull anti-entropy healing: the flood
@@ -757,20 +649,11 @@ pub fn registry() -> ScenarioRegistry {
         .faults([FaultSpec::none(), partition(2), partition(3)])
         .full_grid(Grid::new([1_024, 4_096], [8], 3))
         .smoke_grid(Grid::new([128], [4], 1))
-        .base_seed(0xE16),
-    );
-    registry.register(
-        Scenario::new(
-            "partition-healing-1m",
-            "E19 — partition healing at n = 10^6",
-            Measurement::AsyncFlooding(e16_spec()),
-        )
-        .reproduces("E19 at scale (block membership is a pure id hash)")
-        .nets([NetSpec::Baseline(ModelKind::Sdgr)])
-        .faults([partition(2)])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([256], [4], 1))
-        .base_seed(0xE16),
+        .base_seed(0xE16)
+        .large(|s| {
+            s.faults([partition(2)])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     // E20 — RAES repair under 30% link loss plus crash–restart, with
@@ -793,6 +676,12 @@ pub fn registry() -> ScenarioRegistry {
         rate: 0.002,
         downtime: LatencyModel::Fixed(4.0),
     };
+    let lossy_crashes = FaultSpec {
+        loss: LossModel::Iid { p: 0.3 },
+        crash: Some(crashes),
+        retry: Some(chaos_retry),
+        ..FaultSpec::none()
+    };
     registry.register(
         Scenario::new(
             "crash-restart-raes",
@@ -812,54 +701,30 @@ pub fn registry() -> ScenarioRegistry {
                 retry: Some(chaos_retry),
                 ..FaultSpec::none()
             },
-            FaultSpec {
-                loss: LossModel::Iid { p: 0.3 },
-                crash: Some(crashes),
-                retry: Some(chaos_retry),
-                ..FaultSpec::none()
-            },
+            lossy_crashes,
         ])
         .full_grid(Grid::new([1_024, 4_096], [8], 3))
         .smoke_grid(Grid::new([128], [4], 1))
-        .base_seed(0xE17),
-    );
-    registry.register(
-        Scenario::new(
-            "crash-restart-raes-1m",
-            "E20 — lossy crash–restart RAES at n = 10^6",
-            Measurement::AsyncRaes(e17_spec()),
-        )
-        .reproduces("E20 at scale (retry budget bounds the retransmission volume)")
-        .nets([NetSpec::raes_default()])
-        .faults([FaultSpec {
-            loss: LossModel::Iid { p: 0.3 },
-            crash: Some(crashes),
-            retry: Some(chaos_retry),
-            ..FaultSpec::none()
-        }])
-        .full_grid(Grid::new([1_000_000], [8], 1))
-        .smoke_grid(Grid::new([128], [4], 1))
-        .base_seed(0xE17),
+        .base_seed(0xE17)
+        .large(|s| {
+            // The retry budget bounds the retransmission volume.
+            s.faults([lossy_crashes])
+                .full_grid(Grid::new([1_000_000], [8], 1))
+        }),
     );
 
     registry
 }
 
-/// Runs one scenario with the given options and prints its report (header,
-/// cell/skip counts, per-point summary table).
+/// Runs one scenario (a registry entry or its large rows) with the given
+/// options and prints its report (header, cell/skip counts, per-point
+/// summary table).
 ///
 /// # Panics
 ///
-/// Panics when the scenario is unknown or the checkpoint file cannot be
-/// written — both are fatal for a CLI run.
-pub fn run_and_report(
-    registry: &ScenarioRegistry,
-    name: &str,
-    opts: &RunOptions,
-) -> ScenarioOutcome {
-    let scenario = registry
-        .get(name)
-        .unwrap_or_else(|| panic!("unknown scenario {name:?} (try `exp list`)"));
+/// Panics when the checkpoint file cannot be written — fatal for a CLI run.
+pub fn run_and_report(scenario: &Scenario, opts: &RunOptions) -> ScenarioOutcome {
+    let name = scenario.name();
     println!("## {}", scenario.title());
     println!();
     if !scenario.reproduced_artifact().is_empty() {
@@ -901,7 +766,7 @@ pub fn run_and_report(
     outcome
 }
 
-/// Regenerates the report for `name` from the stored checkpoint (and, when
+/// Regenerates the report of `scenario` from the stored checkpoint (and, when
 /// present, the `.series.jsonl` and `.load.jsonl` side files) without
 /// running any cell. The verdict tables are rebuilt by
 /// `churn_analysis::scenario_report` from the on-disk records alone, so
@@ -912,16 +777,12 @@ pub fn run_and_report(
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the scenario is unknown, the
-/// checkpoint is missing/unreadable, or it holds no cells yet.
+/// Returns a human-readable message when the checkpoint is
+/// missing/unreadable or holds no cells yet.
 pub fn report_from_disk(
-    registry: &ScenarioRegistry,
-    name: &str,
+    scenario: &Scenario,
     opts: &RunOptions,
 ) -> Result<churn_analysis::ScenarioReport, String> {
-    let scenario = registry
-        .get(name)
-        .ok_or_else(|| format!("unknown scenario {name:?} (try `exp list`)"))?;
     let path = scenario_output_path(scenario, opts);
     let records = load_cell_records(&path)
         .map_err(|e| format!("{}: {e} (run the scenario first)", path.display()))?;
@@ -944,7 +805,10 @@ pub fn report_from_disk(
         Vec::new()
     };
     Ok(churn_analysis::scenario_report(
-        name, &records, &series, &loads,
+        scenario.name(),
+        &records,
+        &series,
+        &loads,
     ))
 }
 
@@ -953,11 +817,29 @@ mod tests {
     use super::*;
     use churn_sim::scenario::GridPreset;
 
+    fn large_rows<'a>(registry: &'a ScenarioRegistry, entry: &str) -> &'a Scenario {
+        registry
+            .get(entry)
+            .and_then(Scenario::large_rows)
+            .unwrap_or_else(|| panic!("{entry} declares no large rows"))
+    }
+
+    /// 64-bit FNV-1a over bytes.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn registry_round_trips_names_and_validates_every_scenario() {
         let registry = registry();
         let names = registry.names();
-        assert!(names.len() >= 20, "all legacy experiments are registered");
+        assert_eq!(names.len(), 21, "one entry per experiment");
+        assert!(
+            names.iter().all(|name| !name.ends_with("-1m")),
+            "n = 10^6 rows are declared with Scenario::large, not as entries"
+        );
         for scenario in registry.scenarios() {
             // register() already validated; re-validate for the round trip
             // and pin the lookup.
@@ -982,15 +864,23 @@ mod tests {
                 "{} smoke grid must stay narrow",
                 scenario.name()
             );
-            let full = scenario.cells(GridPreset::Full);
-            assert!(!full.is_empty(), "{} has no full cells", scenario.name());
             // Cell seeds are unique within a preset (they are the checkpoint
-            // identity).
-            for cells in [&smoke, &full] {
-                let mut seeds: Vec<u64> = cells.iter().map(|c| scenario.cell_seed(c)).collect();
+            // identity), the large rows included.
+            for (rows, cells) in [
+                (scenario, smoke),
+                (scenario, scenario.cells(GridPreset::Full)),
+            ]
+            .into_iter()
+            .chain(
+                scenario
+                    .large_rows()
+                    .map(|large| (large, large.cells(GridPreset::Full))),
+            ) {
+                assert!(!cells.is_empty(), "{} has an empty grid", rows.name());
+                let mut seeds: Vec<u64> = cells.iter().map(|c| rows.cell_seed(c)).collect();
                 seeds.sort_unstable();
                 seeds.dedup();
-                assert_eq!(seeds.len(), cells.len(), "{}", scenario.name());
+                assert_eq!(seeds.len(), cells.len(), "{}", rows.name());
             }
         }
         // The historical experiment set is covered.
@@ -1007,24 +897,84 @@ mod tests {
             "onion-skin",
             "p2p-overlay",
             "raes-flooding",
+            "raes-saturation",
             "adversarial-churn",
             "byzantine-raes",
-            "byzantine-raes-1m",
             "byzantine-eclipse",
-            "byzantine-eclipse-1m",
             "async-flooding",
-            "async-flooding-1m",
             "async-raes-load",
-            "async-raes-load-1m",
             "lossy-flooding",
-            "lossy-flooding-1m",
             "partition-healing",
-            "partition-healing-1m",
             "crash-restart-raes",
-            "crash-restart-raes-1m",
         ] {
             assert!(registry.get(name).is_some(), "missing scenario {name}");
         }
+    }
+
+    #[test]
+    fn large_rows_keep_the_identity_of_the_former_1m_scenarios() {
+        // Literal values of the twelve `<name>-1m` scenarios as separately
+        // registered entries: full-grid cell count, FNV-1a of the cell seeds
+        // (little-endian, in cell order) and the measurement's `Debug`. Equal
+        // values mean equal records and checkpoint identity, so a `-1m` file
+        // written before the fold still resumes.
+        let flooding_e11 = "ParallelFlooding(FloodingSpec { budget: Log2Times(8), \
+                            record_isolation: true })";
+        let e16 = "AsyncFlooding(AsyncFloodingSpec { latency: Exponential { mean: 0.5 }, \
+                   bandwidth: BandwidthModel { service_rate: 32.0, capacity: 64, \
+                   policy: Drop }, horizon: Log2Times(6) })";
+        let e17 = "AsyncRaes(AsyncRaesSpec { latency: Exponential { mean: 0.5 }, \
+                   bandwidth: BandwidthModel { service_rate: 32.0, capacity: 0, \
+                   policy: Delay }, horizon: Log2Times(6), flood: true })";
+        let table: [(&str, usize, u64, &str); 12] = [
+            ("isolated-nodes", 4, 0xb641_fea7_c236_0e45, "Isolation"),
+            (
+                "large-set-expansion",
+                2,
+                0xad35_b7a7_04e7_c745,
+                "Expansion(ExpansionSpec { initial_window_div: 16, samples: 1, \
+                 interval_div: 16, large_sets: true, fast: true })",
+            ),
+            (
+                "flooding-failure",
+                24,
+                0x9045_6c25_58b9_476e,
+                "ParallelFlooding(FloodingSpec { budget: Log2Times(6), \
+                 record_isolation: false })",
+            ),
+            ("onion-skin", 2, 0x8112_62b0_65b4_475f, "OnionSkin"),
+            ("byzantine-raes", 6, 0x724c_3d35_ce36_5842, flooding_e11),
+            ("byzantine-eclipse", 3, 0x1bc5_bbaf_d18e_1b05, flooding_e11),
+            (
+                "adversarial-churn",
+                2,
+                0xb0ad_afbf_7ce5_1a78,
+                "Flooding(FloodingSpec { budget: Fixed(200), record_isolation: true })",
+            ),
+            ("async-flooding", 2, 0x4248_825b_c35c_26dc, e16),
+            ("async-raes-load", 1, 0x5f4d_7750_d313_041f, e17),
+            ("lossy-flooding", 2, 0x0c59_9ee2_a3e6_955f, e16),
+            ("partition-healing", 1, 0xcfad_5998_b08b_27cd, e16),
+            ("crash-restart-raes", 1, 0x335f_9d7a_3f74_1cae, e17),
+        ];
+        let registry = registry();
+        for (entry, cells, seeds, measurement) in table {
+            let large = large_rows(&registry, entry);
+            assert_eq!(large.name(), format!("{entry}-1m"));
+            let full = large.cells(GridPreset::Full);
+            assert_eq!(full.len(), cells, "{entry}");
+            assert!(full.iter().all(|c| c.n == 1_000_000), "{entry}");
+            let digest = fnv1a(full.iter().flat_map(|c| large.cell_seed(c).to_le_bytes()));
+            assert_eq!(digest, seeds, "{entry}: {digest:#018x}");
+            assert_eq!(format!("{:?}", large.measurement()), measurement, "{entry}");
+        }
+        let with_large: Vec<&str> = registry
+            .scenarios()
+            .iter()
+            .filter(|s| s.large_rows().is_some())
+            .map(Scenario::name)
+            .collect();
+        assert_eq!(with_large, table.map(|(entry, ..)| entry));
     }
 
     #[test]
@@ -1032,36 +982,34 @@ mod tests {
         let registry = registry();
         for (name, kind) in [
             ("async-flooding", "async-flooding"),
-            ("async-flooding-1m", "async-flooding"),
             ("async-raes-load", "async-raes"),
-            ("async-raes-load-1m", "async-raes"),
             ("lossy-flooding", "async-flooding"),
-            ("lossy-flooding-1m", "async-flooding"),
             ("partition-healing", "async-flooding"),
-            ("partition-healing-1m", "async-flooding"),
             ("crash-restart-raes", "async-raes"),
-            ("crash-restart-raes-1m", "async-raes"),
         ] {
-            let scenario = registry.get(name).unwrap();
-            assert_eq!(scenario.measurement().kind(), kind, "{name}");
-            // The nonzero-latency, finite-bandwidth regime is the point of
-            // these scenarios — a zero-latency registration would collapse
-            // them back into the synchronous engines.
-            match scenario.measurement() {
-                Measurement::AsyncFlooding(spec) => {
-                    assert!(matches!(
-                        spec.latency,
-                        LatencyModel::Exponential { mean } if mean > 0.0
-                    ));
+            let entry = registry.get(name).unwrap();
+            for scenario in [entry, large_rows(&registry, name)] {
+                let name = scenario.name();
+                assert_eq!(scenario.measurement().kind(), kind, "{name}");
+                // The nonzero-latency, finite-bandwidth regime is the point
+                // of these scenarios — a zero-latency registration would
+                // collapse them back into the synchronous engines.
+                match scenario.measurement() {
+                    Measurement::AsyncFlooding(spec) => {
+                        assert!(matches!(
+                            spec.latency,
+                            LatencyModel::Exponential { mean } if mean > 0.0
+                        ));
+                    }
+                    Measurement::AsyncRaes(spec) => {
+                        assert!(matches!(
+                            spec.latency,
+                            LatencyModel::Exponential { mean } if mean > 0.0
+                        ));
+                        assert!(spec.flood, "{name} must flood while repairing");
+                    }
+                    other => panic!("{name} has unexpected measurement {other:?}"),
                 }
-                Measurement::AsyncRaes(spec) => {
-                    assert!(matches!(
-                        spec.latency,
-                        LatencyModel::Exponential { mean } if mean > 0.0
-                    ));
-                    assert!(spec.flood, "{name} must flood while repairing");
-                }
-                other => panic!("{name} has unexpected measurement {other:?}"),
             }
         }
     }
@@ -1075,14 +1023,17 @@ mod tests {
         // separately pins that an empty `FaultPlan` is RNG-stream-identical
         // to no fault layer at all.
         let registry = registry();
-        for (chaos_name, anchor_name) in [
-            ("lossy-flooding", "async-flooding"),
-            ("lossy-flooding-1m", "async-flooding-1m"),
-            ("partition-healing", "async-flooding"),
-            ("crash-restart-raes", "async-raes-load"),
+        let entry = |name| registry.get(name).unwrap();
+        for (chaos, anchor) in [
+            (entry("lossy-flooding"), entry("async-flooding")),
+            (
+                large_rows(&registry, "lossy-flooding"),
+                large_rows(&registry, "async-flooding"),
+            ),
+            (entry("partition-healing"), entry("async-flooding")),
+            (entry("crash-restart-raes"), entry("async-raes-load")),
         ] {
-            let anchor = registry.get(anchor_name).unwrap();
-            let chaos = registry.get(chaos_name).unwrap();
+            let (chaos_name, anchor_name) = (chaos.name(), anchor.name());
             assert_eq!(
                 format!("{:?}", chaos.measurement()),
                 format!("{:?}", anchor.measurement()),
@@ -1131,13 +1082,13 @@ mod tests {
             .filter(|c| c.net.label() == "RAES")
             .map(|c| e11.cell_seed(c))
             .collect();
-        for name in [
-            "byzantine-raes",
-            "byzantine-raes-1m",
-            "byzantine-eclipse",
-            "byzantine-eclipse-1m",
+        for byz in [
+            registry.get("byzantine-raes").unwrap(),
+            large_rows(&registry, "byzantine-raes"),
+            registry.get("byzantine-eclipse").unwrap(),
+            large_rows(&registry, "byzantine-eclipse"),
         ] {
-            let byz = registry.get(name).unwrap();
+            let name = byz.name();
             assert_eq!(
                 format!("{:?}", byz.measurement()),
                 format!("{:?}", e11.measurement()),

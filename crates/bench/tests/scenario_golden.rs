@@ -18,6 +18,9 @@
 //!   uninformed-population metrics the legacy binaries did not have, so
 //!   whole-file byte equality is checked over the shared prefix of each
 //!   record's metric list).
+//! * The `n = 10⁶` rows (`Scenario::large`): run on the smoke grids of the
+//!   separate `<name>-1m` scenarios they replace, they write those
+//!   scenarios' recorded smoke bytes (a literal FNV-1a table).
 //!
 //! An engine trajectory can only match the legacy loop's if the per-cell
 //! seeds, model construction and measurement order are all unchanged — which
@@ -33,7 +36,7 @@ use churn_observe::{LifetimeIsolation, LiveMetrics};
 use churn_protocol::{RaesConfig, RaesModel};
 use churn_sim::observe_rounds;
 use churn_sim::scenario::{
-    run_scenario, scenario_load_path, CellRecord, GridPreset, NetSpec, RunOptions, Scenario,
+    run_scenario, scenario_load_path, CellRecord, Grid, GridPreset, NetSpec, RunOptions, Scenario,
 };
 
 fn run_smoke(scenario: &Scenario, tag: &str) -> (Vec<CellRecord>, PathBuf) {
@@ -589,4 +592,99 @@ fn interrupted_registered_scenario_resumes_bit_identically() {
         "resumed registered scenario must be bit-identical to an uninterrupted run"
     );
     fs::remove_dir_all(&base).ok();
+}
+
+/// 64-bit FNV-1a over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn large_rows_on_their_former_smoke_grids_write_the_recorded_bytes() {
+    // Each entry's n = 10^6 rows were once a separate `<name>-1m` scenario
+    // with its own smoke grid. Run on that grid, the large rows must write
+    // the bytes that scenario's `<name>-1m.smoke.jsonl` held (records carry
+    // the scenario name, cell seeds and metrics, never the preset). This is
+    // also the only engine run of `ExpansionSpec { fast: true }`.
+    let table: [(&str, Grid, u64); 12] = [
+        (
+            "isolated-nodes",
+            Grid::new([128], [2], 1),
+            0xf2ed_41d0_c37c_3e1e,
+        ),
+        (
+            "large-set-expansion",
+            Grid::new([128], [8], 1),
+            0xf016_c6a8_a200_c299,
+        ),
+        (
+            "flooding-failure",
+            Grid::new([256], [1], 2),
+            0x3b11_a212_6dd8_008c,
+        ),
+        (
+            "onion-skin",
+            Grid::new([2_048], [16], 1),
+            0x5a4b_b70e_e568_24c3,
+        ),
+        (
+            "byzantine-raes",
+            Grid::new([256], [8], 1),
+            0x55da_514a_9fd3_5c49,
+        ),
+        (
+            "byzantine-eclipse",
+            Grid::new([256], [8], 1),
+            0x6e12_3c97_0d4b_8994,
+        ),
+        (
+            "adversarial-churn",
+            Grid::new([256], [4], 1),
+            0xe085_24c8_d06d_7576,
+        ),
+        (
+            "async-flooding",
+            Grid::new([256], [4], 1),
+            0x76aa_f3c1_22ea_9120,
+        ),
+        (
+            "async-raes-load",
+            Grid::new([128], [4], 1),
+            0x17d5_f982_ffac_f424,
+        ),
+        (
+            "lossy-flooding",
+            Grid::new([256], [4], 1),
+            0xc236_736a_865d_087e,
+        ),
+        (
+            "partition-healing",
+            Grid::new([256], [4], 1),
+            0x7622_613e_1bcd_d49b,
+        ),
+        (
+            "crash-restart-raes",
+            Grid::new([128], [4], 1),
+            0x0c01_1bc2_8f39_59ec,
+        ),
+    ];
+    let registry = registry();
+    for (entry, grid, digest) in table {
+        let large = registry
+            .get(entry)
+            .and_then(Scenario::large_rows)
+            .unwrap_or_else(|| panic!("{entry} declares no large rows"))
+            .clone()
+            .smoke_grid(grid);
+        let (_, path) = run_smoke(&large, entry);
+        assert_eq!(
+            path.file_name().unwrap().to_str(),
+            Some(format!("{entry}-1m.smoke.jsonl").as_str())
+        );
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(fnv1a(&bytes), digest, "{entry}-1m");
+        fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
 }

@@ -178,7 +178,7 @@ fn report_from_disk_rebuilds_verdicts_without_rewriting_the_checkpoint() {
     let opts = smoke_opts(base.clone());
     let (main_before, series_before) = run_series_smoke(scenario, &opts);
 
-    let report = scenarios::report_from_disk(&registry, "flooding-scaling", &opts)
+    let report = scenarios::report_from_disk(scenario, &opts)
         .expect("report regenerates from the stored files");
     assert_eq!(
         report.tables.len(),
@@ -214,7 +214,7 @@ fn report_from_disk_rebuilds_verdicts_without_rewriting_the_checkpoint() {
         dir: base.join("nowhere"),
         ..smoke_opts(base.clone())
     };
-    let err = scenarios::report_from_disk(&registry, "flooding-scaling", &missing).unwrap_err();
+    let err = scenarios::report_from_disk(scenario, &missing).unwrap_err();
     assert!(err.contains("run the scenario first"), "{err}");
     fs::remove_dir_all(&base).ok();
 }

@@ -23,7 +23,9 @@
 //!
 //! [`ScenarioRegistry`] collects every registered scenario; the `exp` binary
 //! in `churn-bench` is the single CLI over the registry
-//! (`exp run <name>|--all [--smoke] [--resume]`).
+//! (`exp run <name>|--all [--smoke|--large] [--resume]`). An entry's
+//! `n = 10⁶` rows are a nested scenario ([`Scenario::large`]) named
+//! `<name>-1m`, run with `--large`.
 
 use std::collections::HashMap;
 use std::fs;
@@ -521,11 +523,13 @@ impl Default for FaultSpec {
 /// is uniform across scenarios, so analysis tooling needs one loader.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Measurement {
-    /// Sequential single-frontier flooding.
+    /// Flooding on one thread (`run_flooding(…, 1)`), recording the
+    /// completion metrics only.
     Flooding(FloodingSpec),
-    /// Sharded parallel flooding: after the run, the flood's own informed
-    /// set gives the informed-alive overlap, and the *uninformed*
-    /// population is classified structurally (isolated / below-`d` degree).
+    /// The same flooding engine on the cell's thread budget; after the run,
+    /// the flood's own informed set gives the informed-alive overlap, and
+    /// the *uninformed* population is classified structurally (isolated /
+    /// below-`d` degree). The records do not depend on the thread count.
     ParallelFlooding(FloodingSpec),
     /// Partial-flooding coverage within the `O(log n / log d)` budget of
     /// Theorems 3.8 / 4.13.
@@ -708,6 +712,9 @@ pub struct CellSpec {
 /// .base_seed(0xE6);
 /// assert_eq!(scenario.cells(churn_sim::scenario::GridPreset::Smoke).len(), 2);
 /// ```
+///
+/// An entry's `n = 10⁶` rows are derived from the entry itself with
+/// [`Scenario::large`] and run by `exp run <name> --large`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     name: String,
@@ -722,6 +729,8 @@ pub struct Scenario {
     smoke: Grid,
     base_seed: u64,
     measurement: Measurement,
+    /// The `n = 10⁶` rows ([`Scenario::large`]).
+    large: Option<Box<Scenario>>,
 }
 
 impl Scenario {
@@ -744,6 +753,7 @@ impl Scenario {
             smoke: Grid::new([], [], 1),
             base_seed: 0,
             measurement,
+            large: None,
         }
     }
 
@@ -792,6 +802,34 @@ impl Scenario {
         self
     }
 
+    /// Replaces the measurement (for large rows that change a knob of the
+    /// entry's measurement; `validate` keeps its kind).
+    #[must_use]
+    pub fn with_measurement(mut self, measurement: Measurement) -> Self {
+        self.measurement = measurement;
+        self
+    }
+
+    /// Derives the entry's `n = 10⁶` rows: `rows` receives a copy of the
+    /// entry named `<name>-1m`, with no smoke grid, and overrides the axes the
+    /// large rows change (`full_grid`, `nets`, `victims`, `faults`,
+    /// `with_measurement`). The copy keeps the entry's base seed, so the
+    /// rows' records, cell seeds and checkpoint file (`<name>-1m.jsonl`) are
+    /// those of a separately registered `<name>-1m` scenario. Call it last:
+    /// it copies the entry as built so far.
+    #[must_use]
+    pub fn large(mut self, rows: impl FnOnce(Scenario) -> Scenario) -> Self {
+        let base = Scenario {
+            name: format!("{}-1m", self.name),
+            title: format!("{} at n = 10^6", self.title),
+            smoke: Grid::new([], [], 1),
+            large: None,
+            ..self.clone()
+        };
+        self.large = Some(Box::new(rows(base)));
+        self
+    }
+
     /// Sets the reproduced paper artifact shown in report headers.
     #[must_use]
     pub fn reproduces(mut self, artifact: impl Into<String>) -> Self {
@@ -821,6 +859,13 @@ impl Scenario {
     #[must_use]
     pub fn measurement(&self) -> &Measurement {
         &self.measurement
+    }
+
+    /// The entry's `n = 10⁶` rows, when it declares them
+    /// ([`Scenario::large`]).
+    #[must_use]
+    pub fn large_rows(&self) -> Option<&Scenario> {
+        self.large.as_deref()
     }
 
     /// The network axis.
@@ -1053,6 +1098,22 @@ impl Scenario {
                         self.measurement
                     ));
                 }
+            }
+        }
+        if let Some(large) = &self.large {
+            large.validate()?;
+            // The large rows are the entry at another scale: same seed
+            // stream, same kind of measurement.
+            if large.base_seed != self.base_seed
+                || large.measurement.kind() != self.measurement.kind()
+            {
+                return Err(format!(
+                    "scenario {:?}: its large rows must keep base seed {:#x} and a {} \
+                     measurement",
+                    self.name,
+                    self.base_seed,
+                    self.measurement.kind()
+                ));
             }
         }
         Ok(())
@@ -1551,17 +1612,26 @@ impl ScenarioRegistry {
     ///
     /// # Panics
     ///
-    /// Panics on a duplicate name or an invalid spec — registration happens
-    /// at startup, so authoring mistakes fail fast.
+    /// Panics on a duplicate name (an entry's large rows count: they own
+    /// the `<name>-1m` files) or an invalid spec, including large rows that
+    /// change the entry's base seed or measurement kind — registration
+    /// happens at startup, so authoring mistakes fail fast.
     pub fn register(&mut self, scenario: Scenario) {
         if let Err(e) = scenario.validate() {
             panic!("invalid scenario: {e}");
         }
-        assert!(
-            self.get(scenario.name()).is_none(),
-            "duplicate scenario name {:?}",
-            scenario.name()
-        );
+        let taken: Vec<&str> = self
+            .entries
+            .iter()
+            .flat_map(|entry| std::iter::once(entry).chain(entry.large_rows()))
+            .map(Scenario::name)
+            .collect();
+        for name in std::iter::once(&scenario)
+            .chain(scenario.large_rows())
+            .map(Scenario::name)
+        {
+            assert!(!taken.contains(&name), "duplicate scenario name {name:?}");
+        }
         self.entries.push(scenario);
     }
 
@@ -2592,6 +2662,51 @@ mod tests {
             registry.register(tiny_scenario());
         }));
         assert!(result.is_err(), "duplicate registration must panic");
+    }
+
+    #[test]
+    fn large_rows_copy_the_entry_under_the_1m_name() {
+        let entry = tiny_scenario().large(|s| s.full_grid(Grid::new([96], [3], 1)));
+        let large = entry.large_rows().unwrap();
+        assert_eq!(large.name(), "test-flooding-1m");
+        assert_eq!(large.measurement(), entry.measurement());
+        assert_eq!(large.net_axis(), entry.net_axis());
+        assert!(large.cells(GridPreset::Smoke).is_empty());
+        // Same base seed: a large cell's seed is the one the entry would give
+        // the same cell.
+        for cell in large.cells(GridPreset::Full) {
+            assert_eq!(large.cell_seed(&cell), entry.cell_seed(&cell));
+        }
+        let mut registry = ScenarioRegistry::new();
+        registry.register(entry);
+        assert!(registry.get("test-flooding-1m").is_none(), "not an entry");
+        let twin = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            registry.register(Scenario {
+                name: "test-flooding-1m".to_string(),
+                ..tiny_scenario()
+            });
+        }));
+        assert!(twin.is_err(), "an entry may not take a large-rows name");
+    }
+
+    #[test]
+    fn register_rejects_large_rows_that_change_the_seed_or_measurement_kind() {
+        let reseeded = tiny_scenario().large(|s| s.base_seed(0xE1));
+        let remeasured = tiny_scenario().large(|s| s.with_measurement(Measurement::Isolation));
+        // A knob of the same measurement kind is what large rows may change.
+        let retuned = tiny_scenario().large(|s| {
+            s.with_measurement(Measurement::Flooding(FloodingSpec {
+                budget: RoundBudget::Fixed(8),
+                record_isolation: false,
+            }))
+        });
+        ScenarioRegistry::new().register(retuned);
+        for (what, scenario) in [("seed", reseeded), ("kind", remeasured)] {
+            let err = scenario.validate().unwrap_err();
+            assert!(err.contains("large rows"), "{what}: {err}");
+            let result = std::panic::catch_unwind(|| ScenarioRegistry::new().register(scenario));
+            assert!(result.is_err(), "{what}: register must reject");
+        }
     }
 
     #[test]

@@ -493,15 +493,6 @@ fn isolated_fraction(net: &AnyNet) -> f64 {
     isolated as f64 / graph.len().max(1) as f64
 }
 
-/// Advances `net` by `rounds` message-delay units, discarding the churn
-/// summaries (merging them, as `advance_time_units` does, costs a scan of
-/// the window's births per death).
-fn advance(net: &mut AnyNet, rounds: u64) {
-    for _ in 0..rounds {
-        net.advance_time_unit();
-    }
-}
-
 /// The flooding metrics shared by the sequential and parallel measurements.
 fn flooding_metrics(record: &FloodingRecord, max_rounds: u64, out: &mut Metrics) {
     out.push((
@@ -752,7 +743,7 @@ fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec) -> Metrics {
     let mut rng = seeded_rng(seed ^ 0xABCD);
     let streaming = net.has_streaming_churn();
     if let Some(window) = cell.n.checked_div(spec.initial_window_div) {
-        advance(&mut net, window.max(4) as u64);
+        net.advance_time_units(window.max(4) as u64);
     }
     let interval = (cell.n / spec.interval_div.max(1)).max(8) as u64;
     let mut worst_full = f64::INFINITY;
@@ -760,7 +751,7 @@ fn expansion_cell(cell: &CellSpec, seed: u64, spec: ExpansionSpec) -> Metrics {
     let mut large_min_size = 0usize;
     for sample in 0..spec.samples.max(1) {
         if sample > 0 {
-            advance(&mut net, interval);
+            net.advance_time_units(interval);
         }
         let snapshot = Snapshot::of(net.graph());
         let time = net.time();
