@@ -15,10 +15,12 @@
 //!
 //! ## Event order and determinism
 //!
-//! All events live in one [`churn_stochastic::EventQueue`]: a binary heap
-//! keyed by `f64` timestamp with a monotone sequence number as tie-break.
-//! The ordering is therefore *total* — two events never compare equal, and
-//! simultaneous events pop in the order they were scheduled.
+//! All events live in one [`churn_stochastic::EventQueue`]: time-epoch
+//! buckets sorted as each epoch opens, plus a small heap for events that
+//! arrive in the open epoch, keyed by `f64` timestamp with a monotone
+//! sequence number as tie-break. The ordering is therefore *total* — two
+//! events never compare equal, and simultaneous events pop in the order
+//! they were scheduled.
 //! Every run is a pure function of its configuration and seed: same seed ⇒
 //! identical event trace, identical statistics, identical final state, at
 //! any queue capacity and on any machine. The [`Scheduler`] wrapper adds

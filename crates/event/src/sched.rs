@@ -122,9 +122,10 @@ impl<E> Scheduler<E> {
         self.queue.schedule(time, payload);
     }
 
-    /// Timestamp of the next event without popping it.
+    /// Timestamp of the next event without popping it (`&mut self`: the
+    /// queue may open its next epoch).
     #[must_use]
-    pub fn peek_time(&self) -> Option<f64> {
+    pub fn peek_time(&mut self) -> Option<f64> {
         self.queue.peek_time()
     }
 

@@ -137,22 +137,28 @@ proptest! {
         }
     }
 
-    /// The event queue releases events in non-decreasing time order regardless of
-    /// insertion order.
+    /// The event queue releases events in `(time, schedule order)` regardless of
+    /// insertion order: uniform times, times on the queue's 1/16 epoch
+    /// boundaries and one ulp either side of them, `-0.0` (tied with `0.0`),
+    /// `1.0e9` and `+∞`, with plenty of exact ties. `len` counts down by one
+    /// per pop.
     #[test]
-    fn event_queue_orders_events(times in proptest::collection::vec(0.0f64..1e6, 0..100)) {
+    fn event_queue_orders_events(times in proptest::collection::vec(event_time(), 0..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(t, i);
         }
-        let mut last = f64::NEG_INFINITY;
-        let mut popped = 0usize;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
+        let mut expected: Vec<usize> = (0..times.len()).collect();
+        // A stable sort keeps equal times in schedule order.
+        expected.sort_by(|&a, &b| times[a].partial_cmp(&times[b]).expect("no NaN"));
+        let mut popped = Vec::with_capacity(times.len());
+        while let Some((t, i)) = q.pop() {
+            prop_assert_eq!(t.to_bits(), times[i].to_bits());
+            popped.push(i);
+            prop_assert_eq!(q.len(), times.len() - popped.len());
         }
-        prop_assert_eq!(popped, times.len());
+        prop_assert_eq!(popped, expected);
+        prop_assert!(q.is_empty());
     }
 
     /// Seed derivation is deterministic and sensitive to both base and stream.
@@ -164,3 +170,18 @@ proptest! {
 }
 
 use rand::Rng;
+
+/// Event times that stress the queue's epoch layout.
+fn event_time() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1e6,
+        0.0f64..2.0,
+        (0u64..64).prop_map(|k| k as f64 / 16.0),
+        (1u64..64).prop_map(|k| (k as f64 / 16.0).next_down()),
+        (0u64..64).prop_map(|k| (k as f64 / 16.0).next_up()),
+        Just(-0.0),
+        Just(0.0),
+        Just(1.0e9),
+        Just(f64::INFINITY),
+    ]
+}
