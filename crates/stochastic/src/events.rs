@@ -12,11 +12,9 @@
 //!
 //! * **Future epochs.** An event for an epoch after the open one is
 //!   appended, unsorted, to that epoch's bucket: a list of chunks of
-//!   `CHUNK` entries each. The next `NEAR_EPOCHS` epochs (256 time units)
-//!   sit in a ring indexed by epoch; a later one waits in a map keyed by
-//!   epoch.
+//!   `CHUNK` entries each, in a map keyed by epoch.
 //! * **The open epoch.** When the queue runs dry it opens the earliest
-//!   non-empty bucket: it moves the chunks into one buffer, sorts it once,
+//!   bucket: it moves the chunks into one buffer, sorts it once,
 //!   earliest event last, and pops from the back. Pops then read memory in
 //!   order instead of sifting a heap of every in-flight message.
 //! * **Late arrivals.** An event scheduled at or before the open epoch,
@@ -25,9 +23,9 @@
 //!
 //! | operation | cost |
 //! |---|---|
-//! | `schedule`, future epoch | O(1) into the ring, or O(log F) into the map, F = far epochs; a new chunk every `CHUNK` events |
+//! | `schedule`, future epoch | O(log F) into the map, F = future epochs held; a new chunk every `CHUNK` events |
 //! | `schedule`, open epoch | O(log L) heap push, L = late events |
-//! | `pop` / `peek_time` | O(1) from the open epoch or O(log L) from the heap; opening an epoch of k events moves and sorts it once, O(k log k), after stepping over the empty epochs before it |
+//! | `pop` / `peek_time` | O(1) from the open epoch or O(log L) from the heap; opening an epoch of k events moves and sorts it once, O(k log k) |
 //! | `len` / `is_empty` / `now` | O(1) |
 //!
 //! Memory: a flood keeps a hundred or more buckets growing at once. Grown
@@ -49,7 +47,7 @@
 //! with `0.0`, falling through to the sequence.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Epochs per unit of simulated time. A power of two, so `time ·
 /// EPOCHS_PER_UNIT` is exact below the top of the `f64` range.
@@ -58,10 +56,6 @@ const EPOCHS_PER_UNIT: f64 = 16.0;
 /// Entries per chunk of a future epoch's bucket. Every chunk has the same
 /// capacity, so a freed chunk fits the next one allocated.
 const CHUNK: usize = 64;
-
-/// Future epochs held in the dense ring (256 time units); later epochs
-/// wait in the far map.
-const NEAR_EPOCHS: u64 = 1 << 12;
 
 /// One future epoch's events in schedule order, in chunks of `CHUNK`.
 type Bucket<E> = Vec<Vec<Entry<E>>>;
@@ -146,16 +140,9 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Buckets of the epochs after the open one: `near[i]` holds epoch
-    /// `near_base + i`, for offsets below `NEAR_EPOCHS`.
-    near: VecDeque<Bucket<E>>,
-    /// The epoch of `near[0]`: one past the open epoch (0 before the
-    /// first), so every future epoch is at or after it.
-    near_base: u64,
-    /// Buckets of epochs `NEAR_EPOCHS` or more past `near_base` when
-    /// scheduled, keyed by epoch. The ring can catch up with one; the two
-    /// buckets of that epoch are merged when it opens.
-    far: BTreeMap<u64, Bucket<E>>,
+    /// Buckets of the epochs after the open one, keyed by epoch. Every
+    /// bucket holds at least one event.
+    buckets: BTreeMap<u64, Bucket<E>>,
     /// The rest of the open epoch, sorted so that the earliest event is
     /// last. Refilled, not reallocated, as each epoch opens.
     open: Vec<Entry<E>>,
@@ -179,9 +166,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            near: VecDeque::new(),
-            near_base: 0,
-            far: BTreeMap::new(),
+            buckets: BTreeMap::new(),
             open: Vec::new(),
             open_epoch: None,
             late: BinaryHeap::new(),
@@ -233,16 +218,7 @@ impl<E> EventQueue<E> {
         if self.open_epoch.is_some_and(|open| epoch <= open) {
             self.late.push(entry);
         } else {
-            let offset = epoch - self.near_base;
-            if offset < NEAR_EPOCHS {
-                let i = offset as usize;
-                if i >= self.near.len() {
-                    self.near.resize_with(i + 1, Vec::new);
-                }
-                append(&mut self.near[i], entry);
-            } else {
-                append(self.far.entry(epoch).or_default(), entry);
-            }
+            append(self.buckets.entry(epoch).or_default(), entry);
         }
     }
 
@@ -272,36 +248,17 @@ impl<E> EventQueue<E> {
         head.map(|entry| entry.time)
     }
 
-    /// Opens the earliest non-empty future epoch, from the ring, the far
-    /// map or both, once the open epoch and the late heap are both drained.
-    /// Every bucket lies after the open epoch, so while either of those
-    /// holds an event, the earliest event is one of their two heads.
+    /// Opens the earliest future epoch once the open epoch and the late
+    /// heap are both drained. Every bucket lies after the open epoch, so
+    /// while either of those holds an event, the earliest event is one of
+    /// their two heads.
     fn open_next_if_drained(&mut self) {
         if !self.open.is_empty() || !self.late.is_empty() {
             return;
         }
-        while self.near.front().is_some_and(Vec::is_empty) {
-            self.near.pop_front();
-            self.near_base += 1;
-        }
-        let near = (!self.near.is_empty()).then_some(self.near_base);
-        let far = self.far.first_key_value().map(|(&epoch, _)| epoch);
-        let Some(epoch) = near.into_iter().chain(far).min() else {
+        let Some((epoch, chunks)) = self.buckets.pop_first() else {
             return;
         };
-        let mut chunks = if near == Some(epoch) {
-            self.near
-                .pop_front()
-                .expect("the ring's front is non-empty")
-        } else {
-            Vec::new()
-        };
-        if far == Some(epoch) {
-            let (_, far_chunks) = self.far.pop_first().expect("the far map is non-empty");
-            chunks.extend(far_chunks);
-        }
-        // The ring now starts just after `epoch`, or is empty.
-        self.near_base = epoch.saturating_add(1);
         self.open.reserve(chunks.iter().map(Vec::len).sum());
         for chunk in chunks {
             self.open.extend(chunk);

@@ -5,8 +5,8 @@
 //! long runs of empty epochs, the `-0.0`/`0.0` tie, and far-future timers
 //! (`1.0e9`, `+∞`) parked behind everything else. The plain tests below pin
 //! a large same-instant burst, `len` while events are split between the
-//! queue's parts, and an epoch that waits both beyond and inside the
-//! queue's ring of near epochs.
+//! queue's parts, and distant epochs scheduled into while the clock
+//! moves towards them.
 
 use churn_stochastic::EventQueue;
 use proptest::prelude::*;
@@ -20,9 +20,9 @@ const EPOCH: f64 = 1.0 / 16.0;
 enum Op {
     /// Schedule at `now + DELTAS[i]`; small quantized offsets force plenty
     /// of exact timestamp collisions and land in the epoch being drained,
-    /// `37.0` skips hundreds of empty epochs, `300.0` lies past the
-    /// queue's ring of near epochs (256 time units), and the far offsets
-    /// park a timer behind everything else.
+    /// `37.0` skips hundreds of empty epochs, `200.0` and `300.0`
+    /// thousands, so a new event can land between two waiting epochs; the
+    /// far offsets park a timer behind everything else.
     Schedule(usize),
     /// Schedule on the `k`-th epoch boundary after `now`, moved by `nudge`
     /// ulps (`-1`, `0` or `+1`), clamped so it is never in the past.
@@ -33,7 +33,7 @@ enum Op {
     Pop,
 }
 
-const DELTAS: [f64; 10] = [
+const DELTAS: [f64; 11] = [
     0.0,
     0.0,
     0.01,
@@ -41,6 +41,7 @@ const DELTAS: [f64; 10] = [
     0.5,
     1.25,
     37.0,
+    200.0,
     300.0,
     1.0e9,
     f64::INFINITY,
@@ -235,26 +236,42 @@ fn event_before_a_peeked_epoch_pops_first() {
     );
 }
 
-/// An epoch first scheduled beyond the ring of near epochs, then again
-/// once the ring has caught up with it, pops as one epoch in `(time,
-/// sequence)` order.
+/// An epoch scheduled into in two visits, before and after the clock
+/// has moved, pops as one epoch in `(time, sequence)` order.
 #[test]
-fn far_epoch_reached_by_the_ring_pops_in_order() {
+fn epoch_scheduled_in_two_visits_pops_in_order() {
     let mut queue = EventQueue::new();
-    queue.schedule(300.01, "far, later");
-    queue.schedule(300.0, "far, earlier");
-    queue.schedule(100.0, "near");
-    assert_eq!(queue.pop(), Some((100.0, "near")));
-    queue.schedule(300.0, "ring, tie");
-    queue.schedule(300.005, "ring, between");
+    queue.schedule(300.01, "first visit, later");
+    queue.schedule(300.0, "first visit, earlier");
+    queue.schedule(100.0, "before");
+    assert_eq!(queue.pop(), Some((100.0, "before")));
+    queue.schedule(300.0, "second visit, tie");
+    queue.schedule(300.005, "second visit, between");
     let order: Vec<(f64, &str)> = std::iter::from_fn(|| queue.pop()).collect();
     assert_eq!(
         order,
         [
-            (300.0, "far, earlier"),
-            (300.0, "ring, tie"),
-            (300.005, "ring, between"),
-            (300.01, "far, later"),
+            (300.0, "first visit, earlier"),
+            (300.0, "second visit, tie"),
+            (300.005, "second visit, between"),
+            (300.01, "first visit, later"),
         ]
     );
+}
+
+/// A distant epoch opens while a later one already waits; an event
+/// scheduled between the two pops between them, and the clock never runs
+/// backwards.
+#[test]
+fn event_between_an_opened_epoch_and_a_waiting_one_pops_between() {
+    let mut queue = EventQueue::new();
+    queue.schedule(300.0, "timer");
+    queue.schedule(100.0, "first");
+    assert_eq!(queue.pop(), Some((100.0, "first")));
+    queue.schedule(310.0, "last");
+    assert_eq!(queue.pop(), Some((300.0, "timer")));
+    queue.schedule(305.0, "between");
+    assert_eq!(queue.pop(), Some((305.0, "between")));
+    assert_eq!(queue.pop(), Some((310.0, "last")));
+    assert!(queue.is_empty());
 }
